@@ -10,6 +10,7 @@ from .covering import (
     lcm_of_moduli,
     redundant_classes,
     satisfying_class,
+    verify_auto,
     verify_naive,
     verify_partitioned,
 )

@@ -2,8 +2,10 @@
 
 Exit codes are stable for CI use: 0 = all requested checks pass,
 1 = a property fails (uncovered system, failed check, conflict),
-2 = usage or input error.  With --format kv the output is a deterministic
-key=value document (no timestamps), byte-identical across identical runs.
+2 = usage or input error, 3 = internal error (any other exception, such
+as a failed internal self-check).  With --format kv the output is a
+deterministic key=value document (no timestamps), byte-identical across
+identical runs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import dataset
 from .covering import (
@@ -43,7 +46,7 @@ from .progression import (
     verify_sierpinski,
 )
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 EFFORT_ENV = "COVERSIEVE_EFFORT"
 
 
@@ -83,7 +86,7 @@ def cmd_verify(args) -> int:
         verdicts["naive"] = verify_naive(system)
     if args.method in ("partitioned", "both"):
         pairs.append(("w", auto_w(system) if w == "auto" else w))
-        verdicts["partitioned"] = verify_partitioned(system, w=w, threads=args.threads)
+        verdicts["partitioned"] = verify_partitioned(system, w=w)
     if args.method == "both" and verdicts["naive"].covered != verdicts["partitioned"].covered:
         pairs.append(("error", "naive and partitioned verdicts disagree"))
         _emit(pairs, args.format)
@@ -238,21 +241,9 @@ def cmd_dataset(args) -> int:
         return PASS
     data = dataset.appendix_data()
     if args.sierpinski:
-        data = dataset.AppendixData(
-            cov_sier=dataset.load_covering(args.sierpinski),
-            cov_ries=data.cov_ries,
-            L=data.L,
-            M=data.M,
-            table1=data.table1,
-        )
+        data = replace(data, cov_sier=dataset.load_covering(args.sierpinski))
     if args.riesel:
-        data = dataset.AppendixData(
-            cov_sier=data.cov_sier,
-            cov_ries=dataset.load_covering(args.riesel),
-            L=data.L,
-            M=data.M,
-            table1=data.table1,
-        )
+        data = replace(data, cov_ries=dataset.load_covering(args.riesel))
     ok = True
     pairs = []
     audit = dataset.consistency_audit(data)
@@ -266,7 +257,7 @@ def cmd_dataset(args) -> int:
         pairs.append((f"table1.violation.{i}", v))
     ok &= t1.ok
     for name, cov in (("sierpinski", data.cov_sier), ("riesel", data.cov_ries)):
-        verdict = verify_partitioned(cov.system, threads=args.threads)
+        verdict = verify_partitioned(cov.system)
         pairs.append((f"{name}.classes", len(cov.system.classes)))
         pairs.append((f"{name}.lcm", lcm_of_moduli(cov.system)))
         pairs.append((f"{name}.covered", int(verdict.covered)))
@@ -290,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="restrict to target a:b")
     p.add_argument("--method", choices=("naive", "partitioned", "both"), default="partitioned")
     p.add_argument("--w", default="auto")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -345,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="data")
     p.add_argument("--sierpinski", help="override the embedded Sierpinski covering")
     p.add_argument("--riesel", help="override the embedded Riesel covering")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(fn=cmd_dataset)
 
@@ -359,6 +348,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

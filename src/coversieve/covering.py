@@ -13,7 +13,6 @@ come out identical to the literal scan.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .modarith import CapacityError, factor, inverse_mod, lcm_all
@@ -190,7 +189,6 @@ def _check_slice(
 def verify_partitioned(
     system: CoveringSystem,
     w: int | str = "auto",
-    threads: int = 1,
     slice_cap: int = DEFAULT_SLICE_CAP,
 ) -> Verdict:
     """Partitioned verification: for each u in [0, w), restrict to the
@@ -204,47 +202,37 @@ def verify_partitioned(
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     annotated = [(a, b, math.gcd(b, w)) for a, b in classes]
-
-    def run(u: int) -> int | None:
-        return _check_slice(annotated, u, w, slice_cap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = [f for f in pool.map(run, range(w)) if f is not None]
-    else:
-        failures = [f for f in map(run, range(w)) if f is not None]
+    failures = [
+        f for u in range(w) if (f := _check_slice(annotated, u, w, slice_cap)) is not None
+    ]
     if not failures:
         return Verdict(True)
     return Verdict(False, t + M * min(failures))
 
 
-def covers_target(
-    classes,
-    target: ResidueClass,
-    method: str = "auto",
-    naive_cap: int = DEFAULT_NAIVE_CAP,
-) -> Verdict:
+def verify_auto(system: CoveringSystem) -> Verdict:
+    """The verifier the library itself relies on: verify_naive when the
+    target-restricted lcm is at most DEFAULT_NAIVE_CAP, otherwise
+    verify_partitioned with the automatic width."""
+    classes, _, _ = _offset_form(system)
+    if lcm_all(b for _, b in classes) <= DEFAULT_NAIVE_CAP:
+        return verify_naive(system)
+    return verify_partitioned(system)
+
+
+def covers_target(classes, target: ResidueClass) -> Verdict:
     """Do the classes cover the whole target residue class?
 
     Classes that cannot intersect the target are rejected (CoveringSystem
-    enforces this).  Delegates to verify_naive when the restricted scan is
-    small, otherwise to verify_partitioned.
+    enforces this).
     """
-    system = CoveringSystem(tuple(classes), target)
-    if method == "naive":
-        return verify_naive(system, naive_cap)
-    if method == "partitioned":
-        return verify_partitioned(system)
-    sub, _, _ = _offset_form(system)
-    if lcm_all(b for _, b in sub) <= naive_cap:
-        return verify_naive(system, naive_cap)
-    return verify_partitioned(system)
+    return verify_auto(CoveringSystem(tuple(classes), target))
 
 
 def redundant_classes(system: CoveringSystem) -> list[ResidueClass]:
     """Classes whose removal (greedily, in list order) leaves the system a
     covering.  The input must itself verify as covered."""
-    if not _verify_best(system).covered:
+    if not verify_auto(system).covered:
         raise ValueError("redundant_classes requires a covering system")
     kept = list(system.classes)
     dropped = []
@@ -252,15 +240,8 @@ def redundant_classes(system: CoveringSystem) -> list[ResidueClass]:
     while i < len(kept):
         if len(kept) > 1:
             trial = CoveringSystem(tuple(kept[:i] + kept[i + 1:]), system.target)
-            if _verify_best(trial).covered:
+            if verify_auto(trial).covered:
                 dropped.append(kept.pop(i))
                 continue
         i += 1
     return dropped
-
-
-def _verify_best(system: CoveringSystem) -> Verdict:
-    sub, _, _ = _offset_form(system)
-    if lcm_all(b for _, b in sub) <= DEFAULT_NAIVE_CAP:
-        return verify_naive(system)
-    return verify_partitioned(system)

@@ -199,16 +199,21 @@ def primes_of_order(
     )
 
 
-def load_exclusions(path) -> frozenset[int]:
-    """Exclusion-set file: one prime per line, decimal, '#' comments."""
-    out = set()
+def read_integers(path) -> list[int]:
+    """Integer-list file: one decimal integer per line, '#' comments."""
+    out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
-                out.add(int(line))
+                out.append(int(line))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not an integer: {line!r}")
-    return frozenset(out)
+    return out
+
+
+def load_exclusions(path) -> frozenset[int]:
+    """Exclusion-set file: an integer-list file of primes; may be empty."""
+    return frozenset(read_integers(path))

@@ -24,6 +24,7 @@ from .covering import (
     covers_target,
     lcm_of_moduli,
 )
+from .cyclotomic import read_integers
 from .modarith import is_probable_prime, verify_order
 
 Tag = tuple[str, int] | None
@@ -100,17 +101,8 @@ def serialize_covering(system: CoveringSystem, tags=None) -> str:
 
 
 def load_primes_file(path) -> list[int]:
-    """Prime-set file: one integer per line, '#' comments."""
-    out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer: {line!r}")
+    """Prime-set file: an integer-list file that names at least one prime."""
+    out = read_integers(path)
     if not out:
         raise ValueError(f"{path}: empty prime set")
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .covering import CoveringSystem, ResidueClass, Verdict, verify_naive, verify_partitioned
+from .covering import CoveringSystem, ResidueClass, _first_uncovered, verify_auto
 from .modarith import (
     Budget,
     CapacityError,
@@ -96,13 +96,6 @@ class BrierCheck:
         return self.ok
 
 
-def _verify_covering(classes: tuple[ResidueClass, ...]) -> Verdict:
-    system = CoveringSystem(classes)
-    if lcm_all(system.moduli()) <= 10 ** 6:
-        return verify_naive(system)
-    return verify_partitioned(system)
-
-
 def _check_assignments(assignments, budget: Budget):
     seen_primes = set()
     seen_classes = {}
@@ -134,7 +127,7 @@ def _build(assignments, kind: str, require_covering: bool, budget: Budget):
     _check_assignments(assignments, budget)
     classes = tuple(a.cls for a in assignments)
     if require_covering:
-        verdict = _verify_covering(classes)
+        verdict = verify_auto(CoveringSystem(classes))
         if not verdict.covered:
             raise ValueError(
                 f"assignment classes do not cover the integers "
@@ -226,21 +219,10 @@ def combine_brier(parts) -> SievedProgression:
 # direct verification of concrete k
 
 
-def _order_map(primes, base: int, budget: Budget) -> dict[int, int]:
-    orders = {}
-    for p in primes:
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        orders[p] = multiplicative_order(base, p, budget=budget)
-    return orders
-
-
-def _hit_class(k: int, target: int, base: int, p: int, order: int) -> int | None:
-    """Least a in [0, order) with k * base^a ≡ target (mod p), or None."""
-    if p == 0:
-        return None
+def _hit_class(coeff: int, target: int, base: int, p: int, order: int) -> int | None:
+    """Least a in [0, order) with coeff * base^a ≡ target (mod p), or None."""
     t = target % p
-    x = k % p
+    x = coeff % p
     for a in range(order):
         if x == t:
             return a
@@ -248,23 +230,50 @@ def _hit_class(k: int, target: int, base: int, p: int, order: int) -> int | None
     return None
 
 
-def _scan(period: int, classes: list[tuple[int, int]]) -> int | None:
-    """Least n in [0, period) covered by no class (a mod o), or None."""
-    mask = bytearray(period)
-    for a, o in classes:
-        mask[a % o::o] = b"\x01" * len(range(a % o, period, o))
-    gap = mask.find(0)
-    return None if gap < 0 else gap
+def _period_check(base: int, cases, budget: Budget, cap: int):
+    """Shared core of the period checks.
 
-
-def _period(orders, cap: int) -> int:
-    L = lcm_all(orders)
-    if L > cap:
-        raise CapacityError(
-            f"scan period {L} exceeds {cap}; supply per-class certificates "
-            f"instead of a whole-period scan"
-        )
-    return L
+    Each case (label, coeff, target, primes) asks whether every n >= 0 has
+    a prime p in its set with coeff * base^n ≡ target (mod p).  A prime
+    dividing coeff hits every n (class 0 mod 1) when it also divides target
+    and no n otherwise.  Cases are scanned in order, each over its own
+    period (the lcm of its primes' orders), against one cumulative
+    certificate of (label, a, order, p) entries.  Returns (failure,
+    period, certificate): failure is (label, least uncovered n) for the
+    first failing case, else None with period the lcm over all cases.
+    """
+    orders = {}
+    for p in sorted(set().union(*(primes for _, _, _, primes in cases))):
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+        orders[p] = multiplicative_order(base, p, budget=budget)
+    cert = []
+    periods = []
+    for label, coeff, target, primes in cases:
+        L = lcm_all(orders[p] for p in primes)
+        if L > cap:
+            raise CapacityError(
+                f"scan period {L} exceeds {cap}; supply per-class certificates "
+                f"instead of a whole-period scan"
+            )
+        periods.append(L)
+        classes = []
+        for p in primes:
+            if coeff % p == 0:
+                if target % p:
+                    continue
+                a, o = 0, 1
+            else:
+                o = orders[p]
+                a = _hit_class(coeff, target, base, p, o)
+                if a is None:
+                    continue
+            classes.append((a, o))
+            cert.append((label, a, o, p))
+        gap = _first_uncovered(classes, L)
+        if gap is not None:
+            return (label, gap), L, tuple(cert)
+    return None, lcm_all(periods), tuple(cert)
 
 
 def _verify_pm(k, primes, sign, kind, budget, cap):
@@ -275,28 +284,20 @@ def _verify_pm(k, primes, sign, kind, budget, cap):
     for p in primes:
         if p == 2:
             raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
-    orders = _order_map(primes, 2, budget)
-    L = _period(orders.values(), cap) if primes else 1
-    classes = []
-    cert = []
-    for p in primes:
-        a = _hit_class(k, sign, 2, p, orders[p])
-        if a is not None:
-            classes.append((a, orders[p]))
-            cert.append((kind, a, orders[p], p))
-    gap = _scan(L, classes)
-    if gap is not None:
+    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], budget, cap)
+    if failure is not None:
+        gap = failure[1]
         return CheckResult(
-            False, witness=gap, period=L, certificate=tuple(cert),
+            False, witness=gap, period=L, certificate=cert,
             reason=f"n = {gap}: no prime in the set divides k*2^n {'+' if sign < 0 else '-'} 1",
         )
     bound = max(primes) + (0 if sign < 0 else 1) if primes else 0
     if k <= bound:
         return CheckResult(
-            False, witness=None, period=L, certificate=tuple(cert),
+            False, witness=None, period=L, certificate=cert,
             reason=f"k = {k} does not exceed {bound}; divisibility cannot force compositeness",
         )
-    return CheckResult(True, period=L, certificate=tuple(cert))
+    return CheckResult(True, period=L, certificate=cert)
 
 
 def verify_sierpinski(
@@ -348,31 +349,16 @@ def verify_digit_robust(
                 f"{p} divides the base {base}, so base^n is 0 mod {p} and the "
                 f"order of {base} mod {p} does not exist; drop it from the set"
             )
-    orders = _order_map(primes, base, budget)
-    L = _period(orders.values(), cap) if primes else 1
-    deltas = [d for d in range(-(base - 1), base) if d != 0]
-    cert = []
-    for d in deltas:
-        classes = []
-        for p in primes:
-            if d % p == 0:
-                # base^n is a unit mod p, so p | k + d*base^n iff p | k
-                if k % p == 0:
-                    classes.append((0, 1))
-                    cert.append((d, 0, 1, p))
-                continue
-            # k + d*base^n ≡ 0 (mod p)  <=>  d*base^n ≡ -k (mod p)
-            a = _hit_class(d, -k, base, p, orders[p])
-            if a is not None:
-                classes.append((a, orders[p]))
-                cert.append((d, a, orders[p], p))
-        gap = _scan(L, classes)
-        if gap is not None:
-            return CheckResult(
-                False, witness=(d, gap), period=L, certificate=tuple(cert),
-                reason=f"k + ({d})*{base}^{gap} has no divisor in the set",
-            )
-    return CheckResult(True, period=L, certificate=tuple(cert))
+    # k + d*base^n ≡ 0 (mod p)  <=>  d*base^n ≡ -k (mod p)
+    cases = [(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
+    failure, L, cert = _period_check(base, cases, budget, cap)
+    if failure is not None:
+        d, gap = failure
+        return CheckResult(
+            False, witness=failure, period=L, certificate=cert,
+            reason=f"k + ({d})*{base}^{gap} has no divisor in the set",
+        )
+    return CheckResult(True, period=L, certificate=cert)
 
 
 def verify_base2_delicate(
@@ -383,29 +369,19 @@ def verify_base2_delicate(
     the minus side from the Riesel facts)."""
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"k must be a positive odd integer, got {k}")
-    cert = []
-    periods = []
-    for sign, primes in ((1, primes_s), (-1, primes_r)):
-        primes = sorted(set(primes))
-        if any(p == 2 for p in primes):
-            raise ValueError("k ± 2^n is odd for n >= 1; use odd primes")
-        orders = _order_map(primes, 2, budget)
-        L = _period(orders.values(), cap) if primes else 1
-        periods.append(L)
-        classes = []
-        for p in primes:
-            # k + sign*2^n ≡ 0 (mod p)  <=>  2^n ≡ -sign*k (mod p)
-            a = _hit_class(1, -sign * k, 2, p, orders[p])
-            if a is not None:
-                classes.append((a, orders[p]))
-                cert.append((sign, a, orders[p], p))
-        gap = _scan(L, classes)
-        if gap is not None:
-            return CheckResult(
-                False, witness=(sign, gap), period=L, certificate=tuple(cert),
-                reason=f"k {'+' if sign > 0 else '-'} 2^{gap} has no divisor in the set",
-            )
-    return CheckResult(True, period=math.lcm(*periods), certificate=tuple(cert))
+    primes_s, primes_r = sorted(set(primes_s)), sorted(set(primes_r))
+    if 2 in primes_s or 2 in primes_r:
+        raise ValueError("k ± 2^n is odd for n >= 1; use odd primes")
+    # k + sign*2^n ≡ 0 (mod p)  <=>  2^n ≡ -sign*k (mod p)
+    cases = [(1, 1, -k, primes_s), (-1, 1, k, primes_r)]
+    failure, L, cert = _period_check(2, cases, budget, cap)
+    if failure is not None:
+        sign, gap = failure
+        return CheckResult(
+            False, witness=failure, period=L, certificate=cert,
+            reason=f"k {'+' if sign > 0 else '-'} 2^{gap} has no divisor in the set",
+        )
+    return CheckResult(True, period=L, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

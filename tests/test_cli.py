@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from coversieve import cli
 from coversieve.cli import main
 from coversieve.dataset import export_data_files
 
@@ -209,3 +210,12 @@ def test_effort_env_variable(capsys, monkeypatch):
     # 641 = 10*64 + 1 is still inside the reduced trial range; the larger
     # cofactor is prime and closes the factorization
     assert kv(out)["primes"] == "641*6700417"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise ArithmeticError("self-check failed")
+
+    monkeypatch.setattr(cli, "cmd_order", broken)
+    assert main(["order", "--base", "2", "--mod", "7"]) == 3
+    assert capsys.readouterr().err == "internal error: ArithmeticError: self-check failed\n"

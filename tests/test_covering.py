@@ -122,13 +122,6 @@ def test_verdict_invariant_on_uncovered():
     assert v.witness % 4 == 3
 
 
-def test_threaded_matches_sequential():
-    data = appendix_data()
-    seq = verify_partitioned(data.cov_sier.system, threads=1)
-    par = verify_partitioned(data.cov_sier.system, threads=4)
-    assert seq == par
-
-
 def test_slice_cap():
     data = appendix_data()
     with pytest.raises(CapacityError):

@@ -163,3 +163,5 @@ def test_exclusion_file_errors(tmp_path):
     path.write_text("x\n")
     with pytest.raises(ValueError):
         load_exclusions(path)
+    path.write_text("# nothing excluded\n")
+    assert load_exclusions(path) == frozenset()

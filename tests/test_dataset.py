@@ -174,15 +174,16 @@ def test_export_matches_embedded(tmp_path):
     assert [t[1] for t in t1.tags] == [p for _, p in data.table1]
 
 
-def test_repo_data_directory_in_sync():
+def test_repo_data_directory_in_sync(tmp_path):
     repo_data = os.path.join(os.path.dirname(__file__), "..", "data")
     if not os.path.isdir(repo_data):
         pytest.skip("repo data/ not present")
-    data = appendix_data()
-    with open(os.path.join(repo_data, "sierpinski.cov")) as fh:
-        assert fh.read() == serialize_covering(data.cov_sier.system, data.cov_sier.tags)
-    with open(os.path.join(repo_data, "c0.cov")) as fh:
-        assert fh.read() == serialize_covering(c0_system())
+    exported = export_data_files(tmp_path)
+    assert len(exported) == 4
+    for path in exported:
+        name = os.path.basename(path)
+        with open(path) as fresh, open(os.path.join(repo_data, name)) as repo:
+            assert repo.read() == fresh.read(), f"data/{name} is out of date"
 
 
 def test_load_primes_file(tmp_path):

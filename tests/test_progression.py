@@ -7,6 +7,8 @@ from coversieve.covering import ResidueClass
 from coversieve.cyclotomic import primes_of_order
 from coversieve.modarith import CapacityError, Congruence, crt_combine
 from coversieve.progression import (
+    BrierCheck,
+    CheckResult,
     CombineConflictError,
     PrimeAssignment,
     build_riesel,
@@ -222,6 +224,220 @@ def test_base2_delicate_crt_toys_agree_with_brute_force():
         ) and all(any((k - 2**n) % p == 0 for p in (3, 5, 17)) for n in range(L))
         assert res.ok == brute
         assert not res.ok
+
+
+# ---------------------------------------------------------------------------
+# golden results: every field of the five period checks (verdict, witness,
+# period, certificate and reason) on the published constants and on one
+# failing k per check, pinned so the shared scan core cannot drift
+
+
+GOLDEN = {
+    "sierpinski-selfridge": (
+        lambda: verify_sierpinski(sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES),
+        CheckResult(
+            True, None, 36,
+            (
+                ("sierpinski", 0, 2, 3), ("sierpinski", 1, 4, 5),
+                ("sierpinski", 1, 3, 7), ("sierpinski", 11, 12, 13),
+                ("sierpinski", 15, 18, 19), ("sierpinski", 27, 36, 37),
+                ("sierpinski", 3, 9, 73),
+            ),
+            "",
+        ),
+    ),
+    "sierpinski-gap": (
+        lambda: verify_sierpinski(sd.SELFRIDGE_K + 2, sd.SELFRIDGE_PRIMES),
+        CheckResult(
+            False, 6, 36,
+            (
+                ("sierpinski", 1, 2, 3), ("sierpinski", 0, 4, 5),
+                ("sierpinski", 2, 3, 7), ("sierpinski", 4, 18, 19),
+                ("sierpinski", 15, 36, 37),
+            ),
+            "n = 6: no prime in the set divides k*2^n + 1",
+        ),
+    ),
+    "sierpinski-bound": (
+        lambda: verify_sierpinski(sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES + [131071]),
+        CheckResult(
+            False, None, 612,
+            (
+                ("sierpinski", 0, 2, 3), ("sierpinski", 1, 4, 5),
+                ("sierpinski", 1, 3, 7), ("sierpinski", 11, 12, 13),
+                ("sierpinski", 15, 18, 19), ("sierpinski", 27, 36, 37),
+                ("sierpinski", 3, 9, 73),
+            ),
+            "k = 78557 does not exceed 131071; divisibility cannot force compositeness",
+        ),
+    ),
+    "riesel-classical": (
+        lambda: verify_riesel(sd.CLASSICAL_R_B, sd.CLASSICAL_R_PRIMES),
+        CheckResult(
+            True, None, 24,
+            (
+                ("riesel", 0, 2, 3), ("riesel", 1, 4, 5), ("riesel", 2, 3, 7),
+                ("riesel", 7, 12, 13), ("riesel", 7, 8, 17), ("riesel", 3, 24, 241),
+            ),
+            "",
+        ),
+    ),
+    "riesel-gap": (
+        lambda: verify_riesel(sd.CLASSICAL_R_B + 2, sd.CLASSICAL_R_PRIMES),
+        CheckResult(
+            False, 0, 24,
+            (
+                ("riesel", 1, 3, 7), ("riesel", 9, 12, 13), ("riesel", 6, 8, 17),
+            ),
+            "n = 0: no prime in the set divides k*2^n - 1",
+        ),
+    ),
+    "brier-41": (
+        lambda: verify_brier(sd.BRIER_K, sd.BRIER_S_PRIMES, sd.BRIER_R_PRIMES),
+        BrierCheck(
+            True,
+            CheckResult(
+                True, None, 96,
+                (
+                    ("sierpinski", 1, 2, 3), ("sierpinski", 0, 4, 5),
+                    ("sierpinski", 2, 8, 17), ("sierpinski", 6, 48, 97),
+                    ("sierpinski", 86, 96, 193), ("sierpinski", 14, 16, 257),
+                    ("sierpinski", 22, 48, 673), ("sierpinski", 6, 32, 65537),
+                ),
+                "",
+            ),
+            CheckResult(
+                True, None, 288,
+                (
+                    ("riesel", 0, 2, 3), ("riesel", 0, 3, 7), ("riesel", 7, 12, 13),
+                    ("riesel", 11, 18, 19), ("riesel", 23, 36, 37),
+                    ("riesel", 8, 9, 73), ("riesel", 5, 36, 109),
+                    ("riesel", 13, 24, 241), ("riesel", 25, 72, 433),
+                    ("riesel", 73, 144, 577), ("riesel", 1, 288, 1153),
+                    ("riesel", 145, 288, 6337), ("riesel", 49, 72, 38737),
+                ),
+                "",
+            ),
+        ),
+    ),
+    "brier-gap": (
+        lambda: verify_brier(sd.BRIER_K + 2, sd.BRIER_S_PRIMES, sd.BRIER_R_PRIMES),
+        BrierCheck(
+            False,
+            CheckResult(
+                False, 0, 96,
+                (
+                    ("sierpinski", 2, 4, 5), ("sierpinski", 15, 16, 257),
+                ),
+                "n = 0: no prime in the set divides k*2^n + 1",
+            ),
+            CheckResult(
+                False, 0, 288,
+                (
+                    ("riesel", 9, 12, 13), ("riesel", 14, 18, 19),
+                    ("riesel", 29, 36, 37), ("riesel", 7, 9, 73),
+                    ("riesel", 40, 144, 577),
+                ),
+                "n = 0: no prime in the set divides k*2^n - 1",
+            ),
+        ),
+    ),
+    "digit-toy3": (
+        lambda: verify_digit_robust(sd.TOY3_K, sd.TOY3_PRIMES, base=3),
+        CheckResult(
+            True, None, 720,
+            (
+                (-2, 0, 4, 5), (-2, 2, 6, 7), (-2, 1, 3, 13), (-2, 5, 16, 17),
+                (-2, 5, 18, 19), (-2, 17, 30, 31), (-2, 17, 18, 37), (-2, 3, 8, 41),
+                (-2, 0, 10, 61), (-2, 6, 12, 73), (-2, 33, 48, 97), (-2, 29, 45, 181),
+                (-2, 9, 16, 193), (-2, 100, 120, 241), (-2, 4, 30, 271),
+                (-2, 45, 48, 577), (-2, 19, 48, 769), (-2, 187, 240, 4801),
+                (-2, 15, 24, 6481), (-2, 353, 720, 154081), (-2, 83, 180, 176401),
+                (-2, 55, 90, 387631), (-2, 2, 36, 530713), (-2, 65, 90, 755551),
+                (-2, 11, 45, 927001), (-2, 97, 120, 26050081), (-2, 34, 60, 47763361),
+                (-2, 277, 360, 116809201), (-2, 13, 80, 128653413121),
+                (-2, 16, 72, 282429005041), (-2, 52, 360, 2081711451601), (-1, 0, 1, 2),
+                (-1, 3, 4, 5), (-1, 4, 6, 7), (-1, 0, 5, 11), (-1, 3, 16, 17),
+                (-1, 12, 18, 19), (-1, 11, 30, 31), (-1, 28, 48, 97),
+                (-1, 105, 120, 241), (1, 0, 1, 2), (1, 1, 4, 5), (1, 1, 6, 7),
+                (1, 11, 16, 17), (1, 3, 18, 19), (1, 26, 30, 31), (1, 4, 48, 97),
+                (1, 45, 120, 241), (2, 2, 4, 5), (2, 5, 6, 7), (2, 3, 5, 11),
+                (2, 13, 16, 17), (2, 14, 18, 19), (2, 2, 30, 31), (2, 8, 18, 37),
+                (2, 7, 8, 41), (2, 5, 10, 61), (2, 0, 12, 73), (2, 9, 48, 97),
+                (2, 1, 16, 193), (2, 40, 120, 241), (2, 19, 30, 271), (2, 21, 48, 577),
+                (2, 4, 9, 757), (2, 43, 48, 769), (2, 37, 45, 1621), (2, 1, 15, 4561),
+                (2, 67, 240, 4801), (2, 3, 24, 6481), (2, 713, 720, 154081),
+                (2, 173, 180, 176401), (2, 10, 90, 387631), (2, 20, 36, 530713),
+                (2, 20, 90, 755551), (2, 37, 120, 26050081), (2, 4, 60, 47763361),
+                (2, 97, 360, 116809201), (2, 53, 80, 128653413121),
+                (2, 52, 72, 282429005041), (2, 232, 360, 2081711451601),
+            ),
+            "",
+        ),
+    ),
+    "digit-294001": (
+        lambda: verify_digit_robust(294001, [7]),
+        CheckResult(
+            False, (-9, 0), 6,
+            (
+                (-9, 4, 6, 7),
+            ),
+            "k + (-9)*10^0 has no divisor in the set",
+        ),
+    ),
+    # 2 and 3 divide k and the deltas they divide, so each hits every n of
+    # those deltas (class 0 mod 1), although 5 has order 2 mod 3
+    "digit-fixed-divisor": (
+        lambda: verify_digit_robust(6, [2, 3], base=5),
+        CheckResult(
+            False, (-1, 0), 2,
+            (
+                (-4, 0, 1, 2), (-3, 0, 1, 3), (-2, 0, 1, 2),
+            ),
+            "k + (-1)*5^0 has no divisor in the set",
+        ),
+    ),
+    "base2-clavier": (
+        lambda: verify_base2_delicate(
+            sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES
+        ),
+        CheckResult(
+            True, None, 720,
+            (
+                (1, 1, 2, 3), (1, 2, 4, 5), (1, 6, 10, 11), (1, 8, 12, 13),
+                (1, 0, 8, 17), (1, 16, 18, 19), (1, 31, 36, 37), (1, 3, 20, 41),
+                (1, 12, 48, 97), (1, 13, 36, 109), (1, 4, 24, 241), (1, 20, 30, 331),
+                (1, 36, 48, 673), (1, 53, 60, 1321), (-1, 0, 2, 3), (-1, 0, 4, 5),
+                (-1, 0, 3, 7), (-1, 1, 10, 11), (-1, 2, 12, 13), (-1, 4, 8, 17),
+                (-1, 7, 18, 19), (-1, 4, 5, 31), (-1, 13, 36, 37), (-1, 13, 20, 41),
+                (-1, 1, 9, 73), (-1, 36, 48, 97), (-1, 31, 36, 109), (-1, 2, 15, 151),
+                (-1, 16, 24, 241), (-1, 5, 30, 331), (-1, 12, 48, 673),
+                (-1, 23, 60, 1321),
+            ),
+            "",
+        ),
+    ),
+    "base2-gap": (
+        lambda: verify_base2_delicate(
+            sd.CLAVIER_K + 2, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES
+        ),
+        CheckResult(
+            False, (1, 0), 720,
+            (
+                (1, 1, 4, 5), (1, 7, 10, 11), (1, 11, 12, 13), (1, 4, 8, 17),
+                (1, 13, 18, 19), (1, 25, 36, 37),
+            ),
+            "k + 2^0 has no divisor in the set",
+        ),
+    ),
+}
+
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_period_checks_golden(name):
+    check, expected = GOLDEN[name]
+    assert check() == expected
 
 
 # ---------------------------------------------------------------------------
