@@ -193,7 +193,12 @@ def verify_partitioned(
 ) -> Verdict:
     """Partitioned verification: for each u in [0, w), restrict to the
     classes meeting the slice u (mod w) and scan one period of that slice.
-    Covered iff every slice is; the verdict always matches verify_naive."""
+    Covered iff every slice is; the verdict always matches verify_naive.
+
+    w is first reduced to gcd(w, lcm of the moduli): slices u and u + that
+    gcd meet the same classes, so the verdict and the least witness stay
+    the same and the loop is bounded by the lcm, whatever w is.
+    """
     classes, M, t = _offset_form(system)
     if isinstance(w, str):
         if w != "auto":
@@ -201,6 +206,7 @@ def verify_partitioned(
         w = auto_w(system)
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
+    w = math.gcd(w, lcm_all(b for _, b in classes))
     annotated = [(a, b, math.gcd(b, w)) for a, b in classes]
     failures = [
         f for u in range(w) if (f := _check_slice(annotated, u, w, slice_cap)) is not None

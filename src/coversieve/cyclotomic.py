@@ -8,16 +8,9 @@ is how covering moduli get matched to sieving primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .modarith import (
-    Budget,
-    CapacityError,
-    DEFAULT_BUDGET,
-    factor,
-    is_probable_prime,
-    verify_order,
-)
+from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
 
 INDEX_CAP = 20000
 
@@ -57,17 +50,8 @@ class OrderPrimeSet:
 
 def _squarefree_divisors_mu(b: int) -> list[tuple[int, int]]:
     """(d, μ(d)) for the squarefree divisors d of b."""
-    rest, p, primes = b, 2, []
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        primes.append(rest)
     out = [(1, 1)]
-    for q in primes:
+    for q in factor(b).primes() if b > 1 else ():
         out += [(d * q, -mu) for d, mu in out]
     return out
 
@@ -135,15 +119,6 @@ def cyclotomic_value(b: int, x0: int, cap: int = INDEX_CAP) -> int:
     return value
 
 
-def _largest_prime_factor(b: int) -> int:
-    rest, p, best = b, 2, 1
-    while p * p <= rest:
-        while rest % p == 0:
-            best, rest = p, rest // p
-        p += 1 if p == 2 else 2
-    return rest if rest > 1 else best
-
-
 def primes_of_order(
     b: int,
     base: int = 2,
@@ -155,14 +130,16 @@ def primes_of_order(
     Factors Φ_b(base) under the budget.  Trial division only probes
     candidates ≡ 1 (mod b), since any prime of order b is 1 mod b; the one
     possible divisor not of order b (the largest prime factor of b) is
-    stripped first.  Every surviving prime has its order verified.
+    stripped first.  What is left has no divisor up to the trial limit, so
+    it goes to factor()'s rho and primality stage without trial division.
+    Every surviving prime has its order verified.
     """
     if base not in (2, 10):
         raise ValueError(f"base must be 2 or 10, got {base}")
     if b < 2:
         raise ValueError(f"order must be >= 2, got {b}")
     value = cyclotomic_value(b, base)
-    q = _largest_prime_factor(b)
+    q = factor(b).primes()[-1]
     while value % q == 0:
         value //= q
     found = []
@@ -174,13 +151,9 @@ def primes_of_order(
                 value //= c
         c += b
     if value > 1:
-        if is_probable_prime(value):
-            found.append(value)
-            value = 1
-        else:
-            sub = factor(value, budget)
-            found.extend(sub.primes())
-            value = sub.cofactor
+        sub = factor(value, replace(budget, trial_limit=1))
+        found.extend(sub.primes())
+        value = sub.cofactor
     primes = []
     for p in sorted(set(found)):
         if p in exclude or b % p == 0:

@@ -79,14 +79,12 @@ class FactorizationResult:
 
     Invariant: prod(p**e) * cofactor == n for the input n.  Every listed
     prime passes is_probable_prime.  complete is true iff cofactor == 1.
-    A cofactor > 1 is composite (a probable-prime remainder would have been
-    listed); cofactor_probable_prime records the test result explicitly
-    rather than leaving the status implied.
+    A cofactor > 1 is composite: it is a product of values that each
+    failed is_probable_prime.
     """
 
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
-    cofactor_probable_prime: bool = False
 
     @property
     def complete(self) -> bool:
@@ -323,24 +321,14 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET) -> FactorizationResult:
             continue
         pending.append(d)
         pending.append(m // d)
-    result = tuple(sorted(counts.items()))
-    return FactorizationResult(
-        factors=result,
-        cofactor=cofactor,
-        cofactor_probable_prime=cofactor > 1 and is_probable_prime(cofactor),
-    )
+    return FactorizationResult(tuple(sorted(counts.items())), cofactor)
 
 
-def multiplicative_order(
-    g: int,
-    p: int,
-    p_minus_one_factors: FactorizationResult | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> int:
+def multiplicative_order(g: int, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     """Least e >= 1 with g**e ≡ 1 (mod p), for prime p.
 
-    Needs the complete factorization of p-1; refuses to guess from a
-    partial one.
+    Factors p-1 under the budget; refuses to guess from a partial
+    factorization.
     """
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -348,17 +336,14 @@ def multiplicative_order(
         raise ValueError(f"gcd({g}, {p}) != 1; order undefined")
     if p == 2:
         return 1
-    if p_minus_one_factors is None:
-        p_minus_one_factors = factor(p - 1, budget)
-    if not p_minus_one_factors.complete:
+    f = factor(p - 1, budget)
+    if not f.complete:
         raise IncompleteFactorizationError(
             f"factorization of {p - 1} is incomplete "
-            f"(cofactor {p_minus_one_factors.cofactor}); cannot certify an order"
+            f"(cofactor {f.cofactor}); cannot certify an order"
         )
-    if p_minus_one_factors.value() != p - 1:
-        raise ValueError("supplied factorization does not multiply back to p-1")
     e = p - 1
-    for q, _ in p_minus_one_factors.factors:
+    for q, _ in f.factors:
         while e % q == 0 and pow(g, e // q, p) == 1:
             e //= q
     return e

@@ -19,6 +19,7 @@ from .modarith import (
     CapacityError,
     Congruence,
     DEFAULT_BUDGET,
+    FactorizationResult,
     IncompatibleCongruencesError,
     crt_combine,
     factor,
@@ -472,16 +473,10 @@ def subprogression_shift(
     for q in fb.primes():
         while a_prime % q == 0:
             a_prime //= q
+    fa = factor(a_prime, budget) if a_prime > 1 else FactorizationResult(())
     # A must have a prime divisor exceeding the base
-    probe = a_prime
-    if base > 10 ** 6:
-        raise CapacityError("base too large for the prime-divisor precondition check")
-    for c in range(2, base + 1):
-        while probe % c == 0:
-            probe //= c
-    if probe == 1:
+    if fa.complete and max(fa.primes(), default=1) <= base:
         raise ValueError(f"A = {A} has no prime divisor > base {base}")
-    fa = factor(a_prime, budget)
     if not fa.complete:
         raise ValueError(
             f"cannot certify φ: the base-coprime part {a_prime} of A resists "

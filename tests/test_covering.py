@@ -64,6 +64,14 @@ def test_partitioned_examples():
     assert not v.covered and v.witness == 8
 
 
+def test_partitioned_huge_w_is_reduced_to_the_lcm():
+    # w is cut to gcd(w, lcm); a loop over range(10**12) would never return
+    assert verify_partitioned(c0_system(), w=10**12) == verify_naive(c0_system())
+    uncovered = system([(0, 3), (1, 3), (2, 9), (5, 9)])
+    assert verify_partitioned(uncovered, w=10**12) == verify_naive(uncovered)
+    assert verify_partitioned(uncovered, w=10**12 + 1).witness == 8
+
+
 def test_partitioned_empty_slice_witness():
     # only odd numbers covered: every even slice is empty at w = 2
     v = verify_partitioned(system([(1, 2)]), w=2)

@@ -1,13 +1,15 @@
 import pytest
 
+from coversieve import cyclotomic, modarith
 from coversieve.cyclotomic import (
     CyclotomicPoly,
+    OrderPrimeSet,
     cyclotomic_coeffs,
     cyclotomic_value,
     load_exclusions,
     primes_of_order,
 )
-from coversieve.modarith import Budget, CapacityError, verify_order
+from coversieve.modarith import Budget, CapacityError, factor, verify_order
 
 
 def euler_phi(n):
@@ -156,6 +158,56 @@ def test_primes_of_order_incomplete_under_starved_budget():
     assert s.unfactored_cofactor > 1
     for p in s.primes:
         assert verify_order(2, p, 432)
+
+
+STARVED = Budget(trial_limit=10**4, rho_rounds=4, rho_restarts=1)
+CYCLO_BUDGET = Budget(trial_limit=10**5, rho_rounds=2000, rho_restarts=2)
+STARVED_432_COFACTOR = 22300745198530623141530995906165491860766721
+
+
+@pytest.mark.parametrize("args, expected", [
+    ((4, 2), ((5,), True, 1)),
+    ((6, 2), ((), True, 1)),
+    ((18, 2), ((19,), True, 1)),
+    ((20, 2), ((41,), True, 1)),
+    ((64, 2), ((641, 6700417), True, 1)),
+    ((432, 2), ((209924353, 4261383649, 24929060818265360451708193), True, 1)),
+    ((432, 2, STARVED), ((), False, STARVED_432_COFACTOR)),
+    ((6, 10), ((7, 13), True, 1)),
+    ((64, 2, Budget(), frozenset({641})), ((6700417,), True, 1)),
+])
+def test_primes_of_order_golden(args, expected):
+    """Pinned before the factoring layer was simplified; must never move."""
+    primes, complete, cofactor = expected
+    assert primes_of_order(*args) == OrderPrimeSet(
+        order=args[0], base=args[1], primes=primes, complete=complete,
+        unfactored_cofactor=cofactor,
+    )
+
+
+def test_fermat_factors_golden():
+    f6 = factor(2**64 + 1, CYCLO_BUDGET)
+    assert (f6.factors, f6.cofactor) == (((274177, 1), (67280421310721, 1)), 1)
+    f7 = factor(2**128 + 1, CYCLO_BUDGET)
+    assert (f7.factors, f7.cofactor) == ((), 2**128 + 1)
+
+
+def test_starved_cofactor_is_primality_tested_once(monkeypatch):
+    """The remainder of Phi_432(2) is tested once, inside factor(), and is
+    not trial-divided a second time or re-tested for a result flag."""
+    real = modarith.is_probable_prime
+    calls = []
+
+    def counting(n):
+        if n == STARVED_432_COFACTOR:
+            calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(modarith, "is_probable_prime", counting)
+    monkeypatch.setattr(cyclotomic, "is_probable_prime", counting, raising=False)
+    s = primes_of_order(432, 2, STARVED)
+    assert s.unfactored_cofactor == STARVED_432_COFACTOR
+    assert len(calls) == 1
 
 
 def test_exclusion_file_errors(tmp_path):

@@ -513,8 +513,19 @@ def test_shift_preconditions():
         subprogression_shift(6, 1, 10)       # 5 does not divide A
     with pytest.raises(ValueError, match="no prime divisor"):
         subprogression_shift(10, 1, 10)      # nothing above the base
+    with pytest.raises(ValueError, match="no prime divisor"):
+        subprogression_shift(7 * 1000003, 1, 1000003)
     with pytest.raises(ValueError, match="gcd"):
         subprogression_shift(130, 13, 10)
+
+
+def test_shift_base_above_a_million():
+    # prime base p and A = p*q with a prime q > p: the precondition is read
+    # off the factorization of A', so a large base needs no probe loop
+    p, q = 1000003, 1000033
+    s = subprogression_shift(p * q, 1, p)
+    assert (s.ell, s.v, s.a_primes) == (3, q - 1, (p, q))
+    assert s.B0_mod(p * q) == 1
 
 
 def test_shift_value_mod_matches_materialized():
