@@ -5,9 +5,12 @@ verify_partitioned splits the integers into residue slices mod w and checks
 each slice against the subsystem that can intersect it, which is what makes
 the 447- and 459-class systems tractable.  Both must always agree.
 
-The inner scan marks multiples into a bytearray in strides instead of
-testing each integer against each class; witnesses (least uncovered member)
-come out identical to the literal scan.
+verify_partitioned files each class (a, b) once, by g = gcd(b, w) and
+a mod g, and hands each bucket to the slices u ≡ a (mod g) it meets.  The
+one scan kernel, shared with the period checks, marks classes into chunked
+bytearrays in strides, on long scans over copies of a pattern of the
+smallest moduli; witnesses (least uncovered member) come out identical to
+the literal scan.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .modarith import CapacityError, factor, inverse_mod, lcm_all
+from .modarith import CapacityError, factor, lcm_all
 
 DEFAULT_NAIVE_CAP = 10 ** 8
 DEFAULT_SLICE_CAP = 10 ** 9
 _CHUNK = 1 << 20
+_TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
+_SLICES = 1 << 12  # slices whose subsystems are collected at a time
 
 
 @dataclass(frozen=True, order=True)
@@ -105,26 +110,46 @@ def _offset_form(system: CoveringSystem) -> tuple[list[tuple[int, int]], int, in
         if bp == 1:
             out.append((0, 1))
             continue
-        ap = (cls.a - t) // g * inverse_mod(M // g, bp) % bp
+        ap = (cls.a - t) // g * pow(M // g, -1, bp) % bp
         out.append((ap, bp))
     return out, M, t
 
 
 def _first_uncovered(classes: list[tuple[int, int]], count: int) -> int | None:
-    """Least t in [0, count) lying in no class, by strided chunk marking."""
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        size = hi - lo
-        mask = bytearray(size)
-        for a, b in classes:
-            start = (a - lo) % b
-            if start < size:
-                n = (size - start + b - 1) // b
-                mask[start::b] = b"\x01" * n
-        gap = mask.find(0)
+    """Least t in [0, count) lying in no class, by chunked marking.
+
+    Above _TILE residues, the classes with the smallest moduli, while their
+    lcm P stays within _TILE, are marked once into a P-byte pattern; each
+    chunk (a multiple of P long) starts as copies of it, and only the other
+    classes are marked in strides."""
+    period, pattern = 1, bytearray(1)
+    if count > _TILE:
+        classes = sorted(classes, key=lambda c: c[1])
+        bound, tiled = min(_TILE, _CHUNK), 0
+        for _, b in classes:
+            if (lcm := math.lcm(period, b)) > bound:
+                break
+            period, tiled = lcm, tiled + 1
+        pattern = _mark(bytearray(period), 0, classes[:tiled])
+        classes = classes[tiled:]
+    step = _CHUNK // period * period
+    for lo in range(0, count, step):
+        size = min(step, count - lo)
+        mask = _mark(pattern * -(-size // period), lo, classes)
+        gap = mask.find(0, 0, size)
         if gap >= 0:
             return lo + gap
     return None
+
+
+def _mark(mask: bytearray, lo: int, classes) -> bytearray:
+    """Set mask[i] for every lo + i in a class; returns mask."""
+    size = len(mask)
+    for a, b in classes:
+        start = (a - lo) % b
+        if start < size:
+            mask[start::b] = b"\x01" * ((size - start + b - 1) // b)
+    return mask
 
 
 def verify_naive(system: CoveringSystem, cap: int = DEFAULT_NAIVE_CAP) -> Verdict:
@@ -145,7 +170,11 @@ def auto_w(system: CoveringSystem) -> int:
     """The verification width 4*3*5*q, with q the largest prime dividing the
     lcm of the moduli (taken from the factored moduli, never by factoring
     the lcm itself).  Target-restricted systems use their reduced moduli."""
-    classes, _, _ = _offset_form(system)
+    return _auto_w(_offset_form(system)[0])
+
+
+def _auto_w(classes: list[tuple[int, int]]) -> int:
+    """auto_w over offset-form classes."""
     q = 1
     for b in set(b for _, b in classes):
         if b > 1:
@@ -154,7 +183,7 @@ def auto_w(system: CoveringSystem) -> int:
 
 
 def _check_slice(
-    classes: list[tuple[int, int, int]],
+    sub: list[tuple[int, int, int, int]],
     u: int,
     w: int,
     slice_cap: int,
@@ -162,26 +191,21 @@ def _check_slice(
     """Verify the slice {w*t + u : t >= 0}; returns the least uncovered
     member of the slice, or None if fully covered.
 
-    classes carry (a, b, gcd(b, w)) for the whole system; only those with
-    a ≡ u mod gcd(b, w) can intersect the slice.
+    sub holds (a, b/g, g, inverse of w/g mod b/g) for the classes (a, b)
+    meeting the slice, g = gcd(b, w).
     """
-    sub = [(a, b, g) for a, b, g in classes if (a - u) % g == 0]
     if not sub:
         return u
-    # members are w*t + u; class (a, b) pulls back to t ≡ t0 (mod b/g)
-    tclasses = []
-    for a, b, g in sub:
-        bp = b // g
-        if bp == 1:
-            return None  # class contains the whole slice
-        t0 = (a - u) // g * inverse_mod(w // g, bp) % bp
-        tclasses.append((t0, bp))
-    ell = lcm_all(b for _, b, _ in sub)
-    count = ell // math.gcd(w, ell)
+    moduli = [bp for _, bp, _, _ in sub]
+    if 1 in moduli:
+        return None  # a class contains the whole slice
+    count = math.lcm(*moduli)
     if count > slice_cap:
         raise CapacityError(
             f"slice u={u} needs {count} iterations (> {slice_cap})"
         )
+    # members are w*t + u; class (a, b) pulls back to t ≡ t0 (mod b/g)
+    tclasses = [((a - u) // g * inv % bp, bp) for a, bp, g, inv in sub]
     gap = _first_uncovered(tclasses, count)
     return None if gap is None else w * gap + u
 
@@ -203,14 +227,26 @@ def verify_partitioned(
     if isinstance(w, str):
         if w != "auto":
             raise ValueError(f"w must be an integer or 'auto', got {w!r}")
-        w = auto_w(system)
+        w = _auto_w(classes)
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     w = math.gcd(w, lcm_all(b for _, b in classes))
-    annotated = [(a, b, math.gcd(b, w)) for a, b in classes]
-    failures = [
-        f for u in range(w) if (f := _check_slice(annotated, u, w, slice_cap)) is not None
-    ]
+    # classes (a, b) with g = gcd(b, w) meet exactly the slices u ≡ a (mod g)
+    index = {}
+    for a, b in classes:
+        g = math.gcd(b, w)
+        inv = pow(w // g, -1, b // g)
+        index.setdefault((g, a % g), []).append((a, b // g, g, inv))
+    failures = []
+    for lo in range(0, w, _SLICES):
+        subs = [[] for _ in range(min(_SLICES, w - lo))]
+        for (g, r), bucket in index.items():
+            for i in range((r - lo) % g, len(subs), g):
+                subs[i] += bucket
+        failures += [
+            f for u, sub in enumerate(subs, lo)
+            if (f := _check_slice(sub, u, w, slice_cap)) is not None
+        ]
     if not failures:
         return Verdict(True)
     return Verdict(False, t + M * min(failures))
@@ -220,8 +256,9 @@ def verify_auto(system: CoveringSystem) -> Verdict:
     """The verifier the library itself relies on: verify_naive when the
     target-restricted lcm is at most DEFAULT_NAIVE_CAP, otherwise
     verify_partitioned with the automatic width."""
-    classes, _, _ = _offset_form(system)
-    if lcm_all(b for _, b in classes) <= DEFAULT_NAIVE_CAP:
+    # the offset-form lcm, lcm(b / gcd(b, M)), is lcm(b) / gcd(lcm(b), M)
+    ell = lcm_of_moduli(system)
+    if ell // math.gcd(ell, system.target.b) <= DEFAULT_NAIVE_CAP:
         return verify_naive(system)
     return verify_partitioned(system)
 

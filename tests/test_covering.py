@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coversieve import covering
 from coversieve.covering import (
     ALL_INTEGERS,
     CoveringSystem,
     ResidueClass,
+    Verdict,
     auto_w,
     covers_target,
     lcm_of_moduli,
@@ -144,16 +146,40 @@ def _random_system(rng):
     return system([(rng.randrange(b), b) for b in (rng.choice(pool) for _ in range(k))])
 
 
+def _one_gap_system(x):
+    # every class mod m but x mod m, for moduli with lcm 1663200 > 2**20:
+    # by the CRT, x is the only uncovered residue below the lcm
+    return system([(a, m) for m in (32, 27, 25, 7, 11) for a in range(m) if a != x % m])
+
+
 def test_equivalence_panel_small():
     rng = random.Random(424242)
     for _ in range(150):
         s = _random_system(rng)
         vn = verify_naive(s)
         for w in ("auto", 2, 7, 30):
-            vp = verify_partitioned(s, w=w)
-            assert vp.covered == vn.covered
-            if not vp.covered:
-                assert all(not c.contains(vp.witness) for c in s.classes)
+            assert verify_partitioned(s, w=w) == vn
+        if not vn.covered:
+            assert all(not c.contains(vn.witness) for c in s.classes)
+
+
+def test_partitioned_skips_slices_a_class_contains():
+    # (0 mod 1) contains every slice, so no slice is scanned or refused
+    s = system([(1, 1000), (0, 1)])
+    assert verify_partitioned(s, w=10, slice_cap=10) == Verdict(True)
+
+
+def test_partitioned_in_several_slice_windows(monkeypatch):
+    monkeypatch.setattr(covering, "_SLICES", 7)
+    assert verify_partitioned(appendix_data().cov_sier.system) == Verdict(True)
+    x = 1_600_001
+    assert verify_partitioned(_one_gap_system(x)) == Verdict(False, x)
+    rng = random.Random(1618)
+    for _ in range(40):
+        s = _random_system(rng)
+        vn = verify_naive(s)
+        for w in ("auto", 7, 30):
+            assert verify_partitioned(s, w=w) == vn
 
 
 def test_verifiers_against_literal_scan():
@@ -195,12 +221,56 @@ def test_equivalence_panel_with_targets():
                 classes.append(ResidueClass(a, b))
         s = CoveringSystem(tuple(classes), target)
         vn = verify_naive(s)
-        vp = verify_partitioned(s)
-        assert vn.covered == vp.covered
-        for v in (vn, vp):
-            if not v.covered:
-                assert v.witness % tb == ta
-                assert all(not c.contains(v.witness) for c in classes)
+        assert verify_partitioned(s) == vn
+        if not vn.covered:
+            assert vn.witness % tb == ta
+            assert all(not c.contains(vn.witness) for c in classes)
+
+
+def _literal_gap(classes, count):
+    residues = {}
+    for a, b in classes:
+        residues.setdefault(b, set()).add(a % b)
+    for n in range(count):
+        if all(n % b not in rs for b, rs in residues.items()):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("limits", [{}, {"_CHUNK": 64}, {"_CHUNK": 64, "_TILE": 256}])
+def test_first_uncovered_matches_literal_scan(monkeypatch, limits):
+    # near-covers of a few moduli leave sparse candidates, so gaps fall late
+    # or nowhere; the moduli's lcm lies on both sides of the tile bound, and
+    # counts on both sides of the tiling threshold
+    for name, value in limits.items():
+        monkeypatch.setattr(covering, name, value)
+    rng = random.Random(2718)
+    for i in range(60):
+        classes = []
+        moduli = (1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 64, 81, 125)
+        for b in rng.sample(moduli, rng.randint(2, 6)):
+            residues = rng.sample(range(b), b)
+            classes += [(a, b) for a in residues[:rng.randint(1, b)]]
+        rng.shuffle(classes)
+        tile = covering._TILE
+        if i % 4 == 0:
+            count = rng.randint(tile + 1, tile + 3000)
+        else:
+            count = rng.randint(1, min(4 * tile, 3000))
+        assert covering._first_uncovered(classes, count) == _literal_gap(classes, count)
+
+
+def test_single_gap_past_the_first_chunk():
+    x = 1_600_001
+    assert x > 1 << 20
+    s = _one_gap_system(x)
+    assert verify_naive(s) == Verdict(False, x)
+    assert verify_partitioned(s) == Verdict(False, x)
+    assert verify_partitioned(s, w=30) == Verdict(False, x)
+    # a scan stopping at x must not report x from the padding of its last chunk
+    classes = [(c.a, c.b) for c in s.classes]
+    assert covering._first_uncovered(classes, x) is None
+    assert covering._first_uncovered(classes, x + 1) == x
 
 
 def test_permutation_invariance():
