@@ -25,13 +25,7 @@ from .covering import (
     verify_partitioned,
 )
 from .cyclotomic import cyclotomic_value, load_exclusions, primes_of_order
-from .modarith import (
-    Budget,
-    CapacityError,
-    factor,
-    is_probable_prime,
-    multiplicative_order,
-)
+from .modarith import Budget, factor, is_probable_prime, multiplicative_order
 from .progression import (
     CombineConflictError,
     PrimeAssignment,
@@ -57,12 +51,10 @@ def _budget(effort: int | None) -> Budget:
 
 
 def _emit(pairs: list[tuple[str, object]], fmt: str):
-    if fmt == "kv":
-        for k, v in pairs:
-            print(f"{k}={v}")
-    else:
-        for k, v in pairs:
-            print(f"{k}: {v}")
+    # every line is formatted before any is written, so a value that cannot
+    # be printed fails the command without partial output
+    sep = "=" if fmt == "kv" else ": "
+    sys.stdout.write("".join(f"{k}{sep}{v}\n" for k, v in pairs))
 
 
 def _parse_target(spec: str) -> ResidueClass:
@@ -87,7 +79,7 @@ def cmd_verify(args) -> int:
     if args.method in ("partitioned", "both"):
         pairs.append(("w", auto_w(system) if w == "auto" else w))
         verdicts["partitioned"] = verify_partitioned(system, w=w)
-    if args.method == "both" and verdicts["naive"].covered != verdicts["partitioned"].covered:
+    if args.method == "both" and verdicts["naive"] != verdicts["partitioned"]:
         pairs.append(("error", "naive and partitioned verdicts disagree"))
         _emit(pairs, args.format)
         return FAIL
@@ -121,7 +113,10 @@ def cmd_cyclo(args) -> int:
         _emit(pairs, args.format)
         return PASS
     value = cyclotomic_value(args.b, args.eval)
-    pairs.append(("value", value))
+    try:
+        pairs.append(("value", str(value)))
+    except ValueError:  # above Python's int-to-str digit limit
+        pairs.append(("note", "value too large to print"))
     if args.factor:
         budget = _budget(args.effort)
         exclude = load_exclusions(args.exclude) if args.exclude else frozenset()
@@ -227,8 +222,8 @@ def cmd_shift(args) -> int:
         ("B0.exponent", res.exp_b0),
     ]
     try:
-        pairs += [("A0", res.A0), ("B0", res.B0)]
-    except CapacityError:
+        pairs += [("A0", str(res.A0)), ("B0", str(res.B0))]
+    except ValueError:  # CapacityError, or above Python's int-to-str digit limit
         pairs.append(("note", "A0/B0 too large to print; exponent form given"))
     _emit(pairs, args.format)
     return PASS

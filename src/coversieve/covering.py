@@ -11,6 +11,10 @@ one scan kernel, shared with the period checks, marks classes into chunked
 bytearrays in strides, on long scans over copies of a pattern of the
 smallest moduli; witnesses (least uncovered member) come out identical to
 the literal scan.
+
+Every size bound is a module constant, the same for every call: NAIVE_CAP
+on the naive lcm, SLICE_CAP on one slice's period and _MAX_SLICES on the
+number of slices; work beyond them raises CapacityError.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from dataclasses import dataclass
 
 from .modarith import CapacityError, factor, lcm_all
 
-DEFAULT_NAIVE_CAP = 10 ** 8
-DEFAULT_SLICE_CAP = 10 ** 9
+NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
+SLICE_CAP = 10 ** 9  # longest period of one slice verify_partitioned scans
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
 _SLICES = 1 << 12  # slices whose subsystems are collected at a time
+_MAX_SLICES = 10 ** 6  # most slices one verify_partitioned call scans (~8 s)
 
 
 @dataclass(frozen=True, order=True)
@@ -152,13 +157,14 @@ def _mark(mask: bytearray, lo: int, classes) -> bytearray:
     return mask
 
 
-def verify_naive(system: CoveringSystem, cap: int = DEFAULT_NAIVE_CAP) -> Verdict:
-    """Check every member of the target in [0, lcm) directly."""
+def verify_naive(system: CoveringSystem) -> Verdict:
+    """Check every member of the target in [0, lcm) directly; lcms above
+    NAIVE_CAP are refused."""
     classes, M, t = _offset_form(system)
     ell = lcm_all(b for _, b in classes)
-    if ell > cap:
+    if ell > NAIVE_CAP:
         raise CapacityError(
-            f"lcm of moduli is {ell} > cap {cap}; use verify_partitioned"
+            f"lcm of moduli is {ell} > cap {NAIVE_CAP}; use verify_partitioned"
         )
     gap = _first_uncovered(classes, ell)
     if gap is None:
@@ -182,12 +188,7 @@ def _auto_w(classes: list[tuple[int, int]]) -> int:
     return 4 * 3 * 5 * q
 
 
-def _check_slice(
-    sub: list[tuple[int, int, int, int]],
-    u: int,
-    w: int,
-    slice_cap: int,
-) -> int | None:
+def _check_slice(sub: list[tuple[int, int, int, int]], u: int, w: int) -> int | None:
     """Verify the slice {w*t + u : t >= 0}; returns the least uncovered
     member of the slice, or None if fully covered.
 
@@ -200,9 +201,9 @@ def _check_slice(
     if 1 in moduli:
         return None  # a class contains the whole slice
     count = math.lcm(*moduli)
-    if count > slice_cap:
+    if count > SLICE_CAP:
         raise CapacityError(
-            f"slice u={u} needs {count} iterations (> {slice_cap})"
+            f"slice u={u} needs {count} iterations (> {SLICE_CAP})"
         )
     # members are w*t + u; class (a, b) pulls back to t ≡ t0 (mod b/g)
     tclasses = [((a - u) // g * inv % bp, bp) for a, bp, g, inv in sub]
@@ -210,18 +211,15 @@ def _check_slice(
     return None if gap is None else w * gap + u
 
 
-def verify_partitioned(
-    system: CoveringSystem,
-    w: int | str = "auto",
-    slice_cap: int = DEFAULT_SLICE_CAP,
-) -> Verdict:
+def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:
     """Partitioned verification: for each u in [0, w), restrict to the
     classes meeting the slice u (mod w) and scan one period of that slice.
     Covered iff every slice is; the verdict always matches verify_naive.
 
     w is first reduced to gcd(w, lcm of the moduli): slices u and u + that
     gcd meet the same classes, so the verdict and the least witness stay
-    the same and the loop is bounded by the lcm, whatever w is.
+    the same.  More than _MAX_SLICES slices, or a slice period above
+    SLICE_CAP, is refused with CapacityError.
     """
     classes, M, t = _offset_form(system)
     if isinstance(w, str):
@@ -231,6 +229,10 @@ def verify_partitioned(
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     w = math.gcd(w, lcm_all(b for _, b in classes))
+    if w > _MAX_SLICES:
+        raise CapacityError(
+            f"{w} slices (the gcd of w and the lcm) exceed {_MAX_SLICES}"
+        )
     # classes (a, b) with g = gcd(b, w) meet exactly the slices u ≡ a (mod g)
     index = {}
     for a, b in classes:
@@ -245,7 +247,7 @@ def verify_partitioned(
                 subs[i] += bucket
         failures += [
             f for u, sub in enumerate(subs, lo)
-            if (f := _check_slice(sub, u, w, slice_cap)) is not None
+            if (f := _check_slice(sub, u, w)) is not None
         ]
     if not failures:
         return Verdict(True)
@@ -254,11 +256,11 @@ def verify_partitioned(
 
 def verify_auto(system: CoveringSystem) -> Verdict:
     """The verifier the library itself relies on: verify_naive when the
-    target-restricted lcm is at most DEFAULT_NAIVE_CAP, otherwise
+    target-restricted lcm is at most NAIVE_CAP, otherwise
     verify_partitioned with the automatic width."""
     # the offset-form lcm, lcm(b / gcd(b, M)), is lcm(b) / gcd(lcm(b), M)
     ell = lcm_of_moduli(system)
-    if ell // math.gcd(ell, system.target.b) <= DEFAULT_NAIVE_CAP:
+    if ell // math.gcd(ell, system.target.b) <= NAIVE_CAP:
         return verify_naive(system)
     return verify_partitioned(system)
 

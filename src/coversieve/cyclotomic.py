@@ -3,7 +3,8 @@
 The b-th cyclotomic polynomial evaluated at 2 (or 10) is the source of
 primes p with ord_p(base) = b: every prime divisor of the value either
 divides b or has multiplicative order exactly b.  Enumerating such primes
-is how covering moduli get matched to sieving primes.
+is how covering moduli get matched to sieving primes.  Indices above the
+fixed INDEX_CAP are refused with CapacityError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
 
-INDEX_CAP = 20000
+INDEX_CAP = 20000  # largest index b whose Φ_b is built or evaluated
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,13 @@ def _div_binomial(coeffs: list[int], d: int) -> list[int]:
     return out
 
 
-def cyclotomic_coeffs(b: int, cap: int = INDEX_CAP) -> CyclotomicPoly:
+def cyclotomic_coeffs(b: int) -> CyclotomicPoly:
     """Φ_b as exact integer coefficients, via the Möbius product
     Φ_b(x) = prod (x**(b/d) - 1)**μ(d) over squarefree d | b."""
     if b < 1:
         raise ValueError(f"index must be >= 1, got {b}")
-    if b > cap:
-        raise CapacityError(f"cyclotomic index {b} exceeds cap {cap}")
+    if b > INDEX_CAP:
+        raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
     coeffs = [1]
     divs = _squarefree_divisors_mu(b)
     for d, mu in divs:
@@ -97,15 +98,15 @@ def cyclotomic_coeffs(b: int, cap: int = INDEX_CAP) -> CyclotomicPoly:
     return CyclotomicPoly(b, tuple(coeffs))
 
 
-def cyclotomic_value(b: int, x0: int, cap: int = INDEX_CAP) -> int:
+def cyclotomic_value(b: int, x0: int) -> int:
     """Exact Φ_b(x0) without materializing coefficients (for |x0| >= 2 the
     Möbius product is taken as a quotient of big integers)."""
     if b < 1:
         raise ValueError(f"index must be >= 1, got {b}")
-    if b > cap:
-        raise CapacityError(f"cyclotomic index {b} exceeds cap {cap}")
+    if b > INDEX_CAP:
+        raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
     if abs(x0) <= 1:
-        return cyclotomic_coeffs(b, cap)(x0)
+        return cyclotomic_coeffs(b)(x0)
     num = den = 1
     for d, mu in _squarefree_divisors_mu(b):
         t = x0 ** (b // d) - 1

@@ -168,22 +168,6 @@ class Report:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_text(self) -> str:
-        lines = [f"{self.name}: {'PASS' if self.ok else 'FAIL'}"]
-        for k, v in self.facts.items():
-            lines.append(f"  {k}: {v}")
-        for v in self.violations:
-            lines.append(f"  violation: {v}")
-        return "\n".join(lines)
-
-    def to_kv(self) -> str:
-        lines = [f"report={self.name}", f"ok={int(self.ok)}"]
-        for k, v in self.facts.items():
-            lines.append(f"{k}={v}")
-        for i, v in enumerate(self.violations):
-            lines.append(f"violation.{i}={v}")
-        return "\n".join(lines) + "\n"
-
 
 def _blocks(loaded: LoadedCovering):
     """Contiguous same-modulus runs where the i= index climbs from 1."""
@@ -234,15 +218,15 @@ def consistency_audit(data: AppendixData) -> Report:
         if b not in data.L:
             rep.violations.append(f"modulus {b} missing from L table")
             continue
-        cap, star = data.L[b]
+        supply, star = data.L[b]
         if b == 4 and star:
-            if ns > cap or nr > cap:
+            if ns > supply or nr > supply:
                 rep.violations.append(
                     f"modulus 4: {ns}+{nr} classes exceed the shared-prime rule"
                 )
-        elif ns + nr > cap:
+        elif ns + nr > supply:
             rep.violations.append(
-                f"modulus {b}: {ns} + {nr} classes exceed L({b}) = {cap}"
+                f"modulus {b}: {ns} + {nr} classes exceed L({b}) = {supply}"
             )
     rep.facts["moduli"] = len(counts)
     rep.facts["classes.sierpinski"] = len(data.cov_sier.system.classes)

@@ -6,6 +6,8 @@ k = Am + B makes k*2^n + 1 (or k*2^n - 1) divisible by one of the primes.
 This module builds such progressions from assignments, combines compatible
 ones into dual-sieve (Brier) progressions, and independently verifies the
 divisibility properties for concrete k by scanning one full period.
+Periods above PERIOD_CAP and shifted integers above MATERIALIZE_BITS are
+refused with CapacityError; both bounds are fixed module constants.
 """
 
 from __future__ import annotations
@@ -44,17 +46,10 @@ class CombineConflictError(ValueError):
 
 @dataclass(frozen=True)
 class PrimeAssignment:
-    """One covering class bound to a prime of matching order (or to an
-    unresolved slot index when the literal prime is unknown)."""
+    """One covering class bound to a prime of matching order base 2."""
 
     cls: ResidueClass
     prime: int | None
-    base: int = 2
-    index: int | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.prime is not None
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,8 @@ def _check_assignments(assignments, budget: Budget):
     seen_primes = set()
     seen_classes = {}
     for asg in assignments:
-        if not asg.resolved:
+        if asg.prime is None:
             raise ValueError(f"assignment {asg.cls} has no prime bound to it")
-        if asg.base != 2:
-            raise ValueError("builders work in base 2")
         p = asg.prime
         if p == 2 or not is_probable_prime(p):
             raise ValueError(f"{p} is not an odd prime")
@@ -231,7 +224,7 @@ def _hit_class(coeff: int, target: int, base: int, p: int, order: int) -> int | 
     return None
 
 
-def _period_check(base: int, cases, budget: Budget, cap: int):
+def _period_check(base: int, cases, budget: Budget):
     """Shared core of the period checks.
 
     Each case (label, coeff, target, primes) asks whether every n >= 0 has
@@ -242,19 +235,18 @@ def _period_check(base: int, cases, budget: Budget, cap: int):
     certificate of (label, a, order, p) entries.  Returns (failure,
     period, certificate): failure is (label, least uncovered n) for the
     first failing case, else None with period the lcm over all cases.
+    A period above PERIOD_CAP is refused with CapacityError.
     """
     orders = {}
     for p in sorted(set().union(*(primes for _, _, _, primes in cases))):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
         orders[p] = multiplicative_order(base, p, budget=budget)
     cert = []
     periods = []
     for label, coeff, target, primes in cases:
         L = lcm_all(orders[p] for p in primes)
-        if L > cap:
+        if L > PERIOD_CAP:
             raise CapacityError(
-                f"scan period {L} exceeds {cap}; supply per-class certificates "
+                f"scan period {L} exceeds {PERIOD_CAP}; supply per-class certificates "
                 f"instead of a whole-period scan"
             )
         periods.append(L)
@@ -277,7 +269,7 @@ def _period_check(base: int, cases, budget: Budget, cap: int):
     return None, lcm_all(periods), tuple(cert)
 
 
-def _verify_pm(k, primes, sign, kind, budget, cap):
+def _verify_pm(k, primes, sign, kind, budget):
     """Shared core of verify_sierpinski / verify_riesel: k*2^n - sign."""
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"k must be a positive odd integer, got {k}")
@@ -285,7 +277,7 @@ def _verify_pm(k, primes, sign, kind, budget, cap):
     for p in primes:
         if p == 2:
             raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
-    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], budget, cap)
+    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], budget)
     if failure is not None:
         gap = failure[1]
         return CheckResult(
@@ -301,31 +293,25 @@ def _verify_pm(k, primes, sign, kind, budget, cap):
     return CheckResult(True, period=L, certificate=cert)
 
 
-def verify_sierpinski(
-    k: int, primes, budget: Budget = DEFAULT_BUDGET, cap: int = PERIOD_CAP
-) -> CheckResult:
+def verify_sierpinski(k: int, primes, budget: Budget = DEFAULT_BUDGET) -> CheckResult:
     """Does every k*2^n + 1 (n >= 0) have a divisor in the prime set?
 
     Scans one full period L = lcm of the orders of 2; also requires
     k > max(primes) so that divisibility implies compositeness.
     """
-    return _verify_pm(k, primes, -1, "sierpinski", budget, cap)
+    return _verify_pm(k, primes, -1, "sierpinski", budget)
 
 
-def verify_riesel(
-    k: int, primes, budget: Budget = DEFAULT_BUDGET, cap: int = PERIOD_CAP
-) -> CheckResult:
+def verify_riesel(k: int, primes, budget: Budget = DEFAULT_BUDGET) -> CheckResult:
     """Mirror of verify_sierpinski for k*2^n - 1 (requires k > max(p) + 1,
     covering the n = 0 boundary case)."""
-    return _verify_pm(k, primes, 1, "riesel", budget, cap)
+    return _verify_pm(k, primes, 1, "riesel", budget)
 
 
-def verify_brier(
-    k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET, cap: int = PERIOD_CAP
-) -> BrierCheck:
+def verify_brier(k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET) -> BrierCheck:
     """k is Brier (relative to the two certificates) iff both checks pass."""
-    s = verify_sierpinski(k, primes_s, budget, cap)
-    r = verify_riesel(k, primes_r, budget, cap)
+    s = verify_sierpinski(k, primes_s, budget)
+    r = verify_riesel(k, primes_r, budget)
     return BrierCheck(s.ok and r.ok, s, r)
 
 
@@ -334,7 +320,6 @@ def verify_digit_robust(
     primes,
     base: int = 10,
     budget: Budget = DEFAULT_BUDGET,
-    cap: int = PERIOD_CAP,
 ) -> CheckResult:
     """Does every k + d*base^n (d = ±1..±(base-1), n >= 0) have a divisor
     in the prime set?  Primes dividing the base have no order and are
@@ -352,7 +337,7 @@ def verify_digit_robust(
             )
     # k + d*base^n ≡ 0 (mod p)  <=>  d*base^n ≡ -k (mod p)
     cases = [(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
-    failure, L, cert = _period_check(base, cases, budget, cap)
+    failure, L, cert = _period_check(base, cases, budget)
     if failure is not None:
         d, gap = failure
         return CheckResult(
@@ -363,7 +348,7 @@ def verify_digit_robust(
 
 
 def verify_base2_delicate(
-    k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET, cap: int = PERIOD_CAP
+    k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET
 ) -> CheckResult:
     """Every k + 2^n must have a divisor among primes_s and every k - 2^n
     one among primes_r (the plus side inherits from the Sierpinski facts,
@@ -375,7 +360,7 @@ def verify_base2_delicate(
         raise ValueError("k ± 2^n is odd for n >= 1; use odd primes")
     # k + sign*2^n ≡ 0 (mod p)  <=>  2^n ≡ -sign*k (mod p)
     cases = [(1, 1, -k, primes_s), (-1, 1, k, primes_r)]
-    failure, L, cert = _period_check(2, cases, budget, cap)
+    failure, L, cert = _period_check(2, cases, budget)
     if failure is not None:
         sign, gap = failure
         return CheckResult(

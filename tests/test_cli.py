@@ -4,6 +4,7 @@ import pytest
 
 from coversieve import cli
 from coversieve.cli import main
+from coversieve.covering import Verdict
 from coversieve.dataset import export_data_files
 
 import sieve_data as sd
@@ -55,6 +56,22 @@ def test_verify_uncovered_exit_code(capsys, tmp_path):
     code, out = run(capsys, "verify", f, "--format", "kv")
     assert code == 1
     assert kv(out)["witness"] == "1"
+
+
+def test_verify_both_compares_witnesses(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "bad.cov"
+    f.write_text("0 2\n")
+    monkeypatch.setattr(cli, "verify_naive", lambda system: Verdict(False, 3))
+    code, out = run(capsys, "verify", f, "--method", "both", "--format", "kv")
+    assert code == 1
+    assert kv(out)["error"] == "naive and partitioned verdicts disagree"
+
+
+def test_verify_refuses_too_many_slices(capsys, datadir):
+    code = main(["verify", str(datadir / "sierpinski.cov"), "--w", str(sd.APPENDIX_S_LCM)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_missing_file(capsys):
@@ -163,6 +180,19 @@ def test_shift_command(capsys):
     d = kv(out)
     assert d["A0"] == str(10**42 * 130)
     assert d["B0"] == str(10**39 - 10**3 + 1)
+
+
+def test_outputs_beyond_the_int_to_str_digit_limit(capsys):
+    # A0 and B0 have about 10^4 digits, Phi_18018(10) has 4320
+    code, out = run(capsys, "shift", "--A", 20030, "--B", 1, "--base", 10, "--format", "kv")
+    assert code == 0
+    assert out == (
+        "ell=5\nv=2002\nA0.exponent=10020\nB0.exponent=10015\n"
+        "note=A0/B0 too large to print; exponent form given\n"
+    )
+    code, out = run(capsys, "cyclo", "--b", 18018, "--eval", 10, "--format", "kv")
+    assert code == 0
+    assert out == "b=18018\nnote=value too large to print\n"
 
 
 def test_dataset_verify_appendix(capsys):

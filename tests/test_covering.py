@@ -132,10 +132,23 @@ def test_verdict_invariant_on_uncovered():
     assert v.witness % 4 == 3
 
 
-def test_slice_cap():
+def test_slice_cap(monkeypatch):
+    monkeypatch.setattr(covering, "SLICE_CAP", 10**4)
     data = appendix_data()
     with pytest.raises(CapacityError):
-        verify_partitioned(data.cov_sier.system, w=7, slice_cap=10**4)
+        verify_partitioned(data.cov_sier.system, w=7)
+
+
+def test_slice_count_bound(monkeypatch):
+    s = appendix_data().cov_sier.system
+    monkeypatch.setattr(covering, "_MAX_SLICES", 780)
+    assert verify_partitioned(s, w=780) == Verdict(True)
+    # refused before any class is indexed or any slice scanned
+    monkeypatch.setattr(covering, "_check_slice", None)
+    with pytest.raises(CapacityError, match="7800 slices .* exceed 780"):
+        verify_partitioned(s, w=7800)
+    with pytest.raises(CapacityError, match=f"{APPENDIX_S_LCM} slices"):
+        verify_partitioned(s, w=10 * APPENDIX_S_LCM)
 
 
 def _random_system(rng):
@@ -163,10 +176,11 @@ def test_equivalence_panel_small():
             assert all(not c.contains(vn.witness) for c in s.classes)
 
 
-def test_partitioned_skips_slices_a_class_contains():
+def test_partitioned_skips_slices_a_class_contains(monkeypatch):
     # (0 mod 1) contains every slice, so no slice is scanned or refused
+    monkeypatch.setattr(covering, "SLICE_CAP", 10)
     s = system([(1, 1000), (0, 1)])
-    assert verify_partitioned(s, w=10, slice_cap=10) == Verdict(True)
+    assert verify_partitioned(s, w=10) == Verdict(True)
 
 
 def test_partitioned_in_several_slice_windows(monkeypatch):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coversieve import progression
 from coversieve.covering import ResidueClass
 from coversieve.cyclotomic import primes_of_order
 from coversieve.modarith import CapacityError, Congruence, crt_combine
@@ -77,7 +78,7 @@ def test_build_rejects_duplicates_and_bad_orders():
     with pytest.raises(ValueError, match="odd prime"):
         build_sierpinski(assignment([(0, 1, 2)]), require_covering=False)
     with pytest.raises(ValueError, match="no prime"):
-        build_sierpinski([PrimeAssignment(ResidueClass(0, 4), None, index=1)],
+        build_sierpinski([PrimeAssignment(ResidueClass(0, 4), None)],
                          require_covering=False)
 
 
@@ -173,12 +174,15 @@ def test_verify_pm_input_validation():
         verify_sierpinski(-3, sd.SELFRIDGE_PRIMES)
     with pytest.raises(ValueError):
         verify_sierpinski(9, [2])
+    with pytest.raises(ValueError, match="9 is not prime"):
+        verify_sierpinski(78557, [3, 5, 9])
 
 
-def test_period_cap():
-    # two primes with huge lcm of orders
+def test_period_cap(monkeypatch):
+    # Selfridge's primes need a period of 36, above a cap of 10
+    monkeypatch.setattr(progression, "PERIOD_CAP", 10)
     with pytest.raises(CapacityError):
-        verify_sierpinski(78557, sd.SELFRIDGE_PRIMES, cap=10)
+        verify_sierpinski(78557, sd.SELFRIDGE_PRIMES)
 
 
 def test_verify_digit_robust_toy():
