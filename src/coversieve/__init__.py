@@ -34,7 +34,6 @@ from .modarith import (
     factor,
     inverse_mod,
     is_probable_prime,
-    mod_pow,
     multiplicative_order,
     verify_order,
 )
@@ -48,7 +47,6 @@ from .progression import (
     build_riesel,
     build_sierpinski,
     combine_brier,
-    replace_offset,
     subprogression_shift,
     verify_base2_delicate,
     verify_brier,

@@ -6,26 +6,34 @@ each slice against the subsystem that can intersect it, which is what makes
 the 447- and 459-class systems tractable.  Both must always agree.
 
 verify_partitioned files each class (a, b) once, by g = gcd(b, w) and
-a mod g, and hands each bucket to the slices u ≡ a (mod g) it meets.  The
-one scan kernel, shared with the period checks, marks classes into chunked
-bytearrays in strides, on long scans over copies of a pattern of the
-smallest moduli; witnesses (least uncovered member) come out identical to
-the literal scan.
+a mod g, and hands each bucket to the slices u ≡ a (mod g) it meets.  A
+slice whose period fits one _CHUNK is scanned; a longer one is the root of
+a residue tree (after Nielsen, J. Number Theory 129, 2009): a node splits
+on the prime dividing the most of its moduli, each class is rewritten into
+the coordinates of the children it meets, a child holding a class of
+modulus 1 is pruned, as is a node above the least gap found so far, and
+the leaves are scanned.  The one scan kernel, shared with the period
+checks, marks classes into chunked bytearrays in strides, on long scans
+over copies of a pattern of the smallest moduli; witnesses (least
+uncovered member) come out identical to the literal scan.
 
 Every size bound is a module constant, the same for every call: NAIVE_CAP
-on the naive lcm, SLICE_CAP on one slice's period and _MAX_SLICES on the
-number of slices; work beyond them raises CapacityError.
+on the naive lcm, _MAX_SLICES on the number of slices and WORK_CAP on the
+work of one verify_partitioned call, counted in tree nodes, root slices
+included, plus one per 2^16 residues scanned; work beyond them raises
+CapacityError.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .modarith import CapacityError, factor, lcm_all
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
-SLICE_CAP = 10 ** 9  # longest period of one slice verify_partitioned scans
+WORK_CAP = 10 ** 5  # most work units one verify_partitioned call spends (~2 s)
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
 _SLICES = 1 << 12  # slices whose subsystems are collected at a time
@@ -176,56 +184,148 @@ def auto_w(system: CoveringSystem) -> int:
     """The verification width 4*3*5*q, with q the largest prime dividing the
     lcm of the moduli (taken from the factored moduli, never by factoring
     the lcm itself).  Target-restricted systems use their reduced moduli."""
-    return _auto_w(_offset_form(system)[0])
+    return _auto_w(_primes(_offset_form(system)[0]))
 
 
-def _auto_w(classes: list[tuple[int, int]]) -> int:
-    """auto_w over offset-form classes."""
-    q = 1
-    for b in set(b for _, b in classes):
-        if b > 1:
-            q = max(q, max(factor(b).primes()))
-    return 4 * 3 * 5 * q
+def _auto_w(primes: list[int]) -> int:
+    """auto_w from the primes of the offset-form moduli."""
+    return 4 * 3 * 5 * max(primes, default=1)
 
 
-def _check_slice(sub: list[tuple[int, int, int, int]], u: int, w: int) -> int | None:
-    """Verify the slice {w*t + u : t >= 0}; returns the least uncovered
-    member of the slice, or None if fully covered.
+def _primes(classes: list[tuple[int, int]]) -> list[int]:
+    """The primes dividing some modulus, ascending, from the factored moduli."""
+    return sorted({p for b in {b for _, b in classes} if b > 1 for p in factor(b).primes()})
 
-    sub holds (a, b/g, g, inverse of w/g mod b/g) for the classes (a, b)
-    meeting the slice, g = gcd(b, w).
+
+class _Work:
+    """What one verify_partitioned call has spent: one unit per tree node,
+    root slices included, plus one per 2^16 residues scanned; more than
+    WORK_CAP units raise CapacityError.  Also holds the primes of the
+    moduli, factored on the first split only."""
+
+    def __init__(self, classes: list[tuple[int, int]], primes: list[int] | None):
+        self.classes, self._primes, self.spent = classes, primes, 0
+
+    def charge(self, nodes: int = 0, residues: int = 0):
+        self.spent += (nodes << 16) + residues  # in residues
+        if self.spent > WORK_CAP << 16:
+            raise CapacityError(
+                f"verification needs more than {WORK_CAP} work units"
+                " (tree nodes plus 2^16-residue scans)"
+            )
+
+    def primes(self) -> list[int]:
+        if self._primes is None:
+            self._primes = _primes(self.classes)
+        return self._primes
+
+
+def _least_gap(nodes: Iterable[tuple[list[tuple[int, int]], int, int]], work: _Work) -> int | None:
+    """Least u + w*y, y >= 0, over the nodes (classes, u, w) such that y
+    lies in none of its node's classes; None if every node is covered.
+
+    A node holding a class of modulus 1 is covered, and a node whose least
+    member u is not below the least gap found so far is skipped.  A node
+    whose period fits one _CHUNK is scanned; a longer one splits on the
+    prime p that divides the most of its moduli, into the p children
+    y = s + p*z (_children).  Children are built one at a time from
+    iterators on an explicit stack, so neither a deep tree nor a large p
+    costs recursion, and memory holds one node's classes per level.
     """
-    if not sub:
-        return u
-    moduli = [bp for _, bp, _, _ in sub]
-    if 1 in moduli:
-        return None  # a class contains the whole slice
-    count = math.lcm(*moduli)
-    if count > SLICE_CAP:
-        raise CapacityError(
-            f"slice u={u} needs {count} iterations (> {SLICE_CAP})"
-        )
-    # members are w*t + u; class (a, b) pulls back to t ≡ t0 (mod b/g)
-    tclasses = [((a - u) // g * inv % bp, bp) for a, bp, g, inv in sub]
-    gap = _first_uncovered(tclasses, count)
-    return None if gap is None else w * gap + u
+    best = None
+    stack = [iter(nodes)]
+    while stack:
+        for classes, u, w in stack[-1]:
+            if best is not None and u >= best:
+                continue  # no member of the node is below the least gap found
+            moduli = [b for _, b in classes]
+            if 1 in moduli:
+                continue  # a class contains the whole node
+            period = math.lcm(*moduli)
+            if period > _CHUNK:
+                moduli = set(moduli)
+                p = max(work.primes(), key=lambda q: sum(b % q == 0 for b in moduli))
+                work.charge(nodes=p)
+                stack.append(_children(classes, u, w, p))
+                break  # descend; this level resumes once the children are done
+            work.charge(residues=period)
+            gap = _first_uncovered(classes, period)
+            if gap is not None and (best is None or u + w * gap < best):
+                best = u + w * gap
+        else:
+            stack.pop()
+    return best
+
+
+def _children(classes: list[tuple[int, int]], u: int, w: int, p: int):
+    """The children (classes, u + w*s, w*p), s in [0, p), of a node split
+    on the prime p, each in its own coordinate z, y = s + p*z.
+
+    A class (a, b) with p | b meets only child a mod p, as
+    ((a - s)/p, b/p); any other meets every child, as ((a - s) * p^-1 mod
+    b, b).
+    """
+    split, rest = [[] for _ in range(p)], []
+    for a, b in classes:
+        if b % p:
+            rest.append((a, pow(p, -1, b), b))
+        else:
+            split[a % p].append((a // p, b // p))
+    for s in range(p):
+        yield split[s] + [((a - s) * inv % b, b) for a, inv, b in rest], u + w * s, w * p
+
+
+def _slices(classes: list[tuple[int, int]], w: int, work: _Work):
+    """The slices {w*y + u : y >= 0}, u in [0, w), as _least_gap nodes,
+    leaving out each slice that some class contains whole.
+
+    Each class (a, b) meets exactly the slices u ≡ a (mod g), g = gcd(b, w).
+    If g = b it contains them whole; otherwise it is filed once, under
+    (g, a mod g), and pulls back to y ≡ (a - u)/g * (w/g)^-1 (mod b/g) in
+    each of them.  The buckets are handed to _SLICES slices at a time, each
+    window charged to the work bound up front.
+    """
+    index, whole = {}, set()
+    for a, b in classes:
+        g = math.gcd(b, w)
+        if g == b:
+            whole.add((g, a % g))
+        else:
+            inv = pow(w // g, -1, b // g)
+            index.setdefault((g, a % g), []).append((a, b // g, g, inv))
+    for lo in range(0, w, _SLICES):
+        subs = [[] for _ in range(min(_SLICES, w - lo))]
+        work.charge(nodes=len(subs))
+        for (g, r), bucket in index.items():
+            for i in range((r - lo) % g, len(subs), g):
+                subs[i] += bucket
+        for g, r in whole:
+            for i in range((r - lo) % g, len(subs), g):
+                subs[i] = None
+        for u, sub in enumerate(subs, lo):
+            if sub is not None:
+                yield [((a - u) // g * inv % bp, bp) for a, bp, g, inv in sub], u, w
 
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:
     """Partitioned verification: for each u in [0, w), restrict to the
-    classes meeting the slice u (mod w) and scan one period of that slice.
-    Covered iff every slice is; the verdict always matches verify_naive.
+    classes meeting the slice u (mod w) and find the slice's least
+    uncovered member, scanning a period of at most _CHUNK residues or
+    splitting a longer one by primes (_least_gap).  Covered iff every slice
+    is; the verdict always matches verify_naive.
 
     w is first reduced to gcd(w, lcm of the moduli): slices u and u + that
     gcd meet the same classes, so the verdict and the least witness stay
-    the same.  More than _MAX_SLICES slices, or a slice period above
-    SLICE_CAP, is refused with CapacityError.
+    the same.  More than _MAX_SLICES slices, or more than WORK_CAP units
+    of work, is refused with CapacityError.
     """
     classes, M, t = _offset_form(system)
+    primes = None
     if isinstance(w, str):
         if w != "auto":
             raise ValueError(f"w must be an integer or 'auto', got {w!r}")
-        w = _auto_w(classes)
+        primes = _primes(classes)
+        w = _auto_w(primes)
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     w = math.gcd(w, lcm_all(b for _, b in classes))
@@ -233,25 +333,11 @@ def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict
         raise CapacityError(
             f"{w} slices (the gcd of w and the lcm) exceed {_MAX_SLICES}"
         )
-    # classes (a, b) with g = gcd(b, w) meet exactly the slices u ≡ a (mod g)
-    index = {}
-    for a, b in classes:
-        g = math.gcd(b, w)
-        inv = pow(w // g, -1, b // g)
-        index.setdefault((g, a % g), []).append((a, b // g, g, inv))
-    failures = []
-    for lo in range(0, w, _SLICES):
-        subs = [[] for _ in range(min(_SLICES, w - lo))]
-        for (g, r), bucket in index.items():
-            for i in range((r - lo) % g, len(subs), g):
-                subs[i] += bucket
-        failures += [
-            f for u, sub in enumerate(subs, lo)
-            if (f := _check_slice(sub, u, w)) is not None
-        ]
-    if not failures:
+    work = _Work(classes, primes)
+    gap = _least_gap(_slices(classes, w, work), work)
+    if gap is None:
         return Verdict(True)
-    return Verdict(False, t + M * min(failures))
+    return Verdict(False, t + M * gap)
 
 
 def verify_auto(system: CoveringSystem) -> Verdict:

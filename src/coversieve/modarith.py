@@ -100,15 +100,6 @@ class FactorizationResult:
         return [p for p, _ in self.factors]
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus via square-and-multiply (O(log exponent))."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
 def inverse_mod(x: int, modulus: int) -> int:
     """y in [0, modulus) with x*y ≡ 1 (mod modulus)."""
     if modulus < 2:

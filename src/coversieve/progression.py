@@ -489,11 +489,3 @@ def subprogression_shift(
         if result.B0_mod(p) == 0:
             raise AssertionError(f"gcd(A0, B0) > 1 at prime {p}")
     return result
-
-
-def replace_offset(A: int, B: int) -> tuple[int, int]:
-    """Slide the progression to its representative 2A + B in [2A, 3A); the
-    gcd is preserved, so primality reasoning downstream is unaffected."""
-    if math.gcd(A, B) != 1:
-        raise ValueError(f"gcd(A, B) = {math.gcd(A, B)} != 1")
-    return A, 2 * A + B

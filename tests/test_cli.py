@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from coversieve import cli
+from coversieve import cli, covering
 from coversieve.cli import main
 from coversieve.covering import Verdict
 from coversieve.dataset import export_data_files
@@ -72,6 +72,25 @@ def test_verify_refuses_too_many_slices(capsys, datadir):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_deep_residue_tree(capsys, tmp_path):
+    # the slice 0 (mod 8) of 0 (mod 2^3000) splits about 3000 levels deep
+    f = tmp_path / "deep.cov"
+    f.write_text(f"0 {2**3000}\n")
+    code = main(["verify", str(f), "--format", "kv"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert kv(out)["w"] == "120" and kv(out)["witness"] == "1"
+
+
+def test_verify_refuses_work_beyond_the_bound(capsys, datadir, monkeypatch):
+    monkeypatch.setattr(covering, "WORK_CAP", 1000)
+    code = main(["verify", str(datadir / "sierpinski.cov"), "--w", "7800"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: verification needs more than 1000 work units" \
+        " (tree nodes plus 2^16-residue scans)\n"
 
 
 def test_verify_missing_file(capsys):

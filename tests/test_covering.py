@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -132,11 +133,24 @@ def test_verdict_invariant_on_uncovered():
     assert v.witness % 4 == 3
 
 
-def test_slice_cap(monkeypatch):
-    monkeypatch.setattr(covering, "SLICE_CAP", 10**4)
-    data = appendix_data()
-    with pytest.raises(CapacityError):
-        verify_partitioned(data.cov_sier.system, w=7)
+def test_w7_verifies_sierpinski():
+    # one slice per residue mod 7 runs 3.4e10 residues long: the residue
+    # tree splits it, where a whole-slice scan was refused
+    assert verify_partitioned(appendix_data().cov_sier.system, w=7) == Verdict(True)
+
+
+def test_work_bound(monkeypatch):
+    s = appendix_data().cov_sier.system
+    # 780 root slices fit, the scans on top of them do not
+    monkeypatch.setattr(covering, "WORK_CAP", 780)
+    with pytest.raises(CapacityError, match="more than 780 work units"):
+        verify_partitioned(s)
+    # a split is charged for its p children before any child is built:
+    # the prime 1048583 > 2^20 alone asks for more children than the bound
+    monkeypatch.undo()
+    monkeypatch.setattr(covering, "_children", None)
+    with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
+        verify_partitioned(system([(0, 1048583)]), w=1)
 
 
 def test_slice_count_bound(monkeypatch):
@@ -144,7 +158,7 @@ def test_slice_count_bound(monkeypatch):
     monkeypatch.setattr(covering, "_MAX_SLICES", 780)
     assert verify_partitioned(s, w=780) == Verdict(True)
     # refused before any class is indexed or any slice scanned
-    monkeypatch.setattr(covering, "_check_slice", None)
+    monkeypatch.setattr(covering, "_least_gap", None)
     with pytest.raises(CapacityError, match="7800 slices .* exceed 780"):
         verify_partitioned(s, w=7800)
     with pytest.raises(CapacityError, match=f"{APPENDIX_S_LCM} slices"):
@@ -170,17 +184,41 @@ def test_equivalence_panel_small():
     for _ in range(150):
         s = _random_system(rng)
         vn = verify_naive(s)
-        for w in ("auto", 2, 7, 30):
+        for w in ("auto", 1, 2, 7, 30):
             assert verify_partitioned(s, w=w) == vn
         if not vn.covered:
             assert all(not c.contains(vn.witness) for c in s.classes)
 
 
 def test_partitioned_skips_slices_a_class_contains(monkeypatch):
-    # (0 mod 1) contains every slice, so no slice is scanned or refused
-    monkeypatch.setattr(covering, "SLICE_CAP", 10)
+    # (0 mod 1) contains every slice, so no slice is scanned
+    monkeypatch.setattr(covering, "_first_uncovered", None)
     s = system([(1, 1000), (0, 1)])
     assert verify_partitioned(s, w=10) == Verdict(True)
+
+
+def test_tree_prunes_children_a_class_contains(monkeypatch):
+    # split on 2 at w=1: (0 mod 2) contains child 0 whole; child 1, the
+    # odd y, is split on 3, and (1 mod 6) and (5 mod 6) contain two of its
+    # children, so only y ≡ 3 (mod 6) is scanned, over 192/6 residues
+    s = system([(0, 2), (1, 6), (5, 6), (3, 192)])
+    assert verify_naive(s) == Verdict(False, 9)
+    monkeypatch.setattr(covering, "_CHUNK", 64)
+    scanned = []
+    first_uncovered = covering._first_uncovered
+    def spy(classes, count):
+        scanned.append(count)
+        return first_uncovered(classes, count)
+    monkeypatch.setattr(covering, "_first_uncovered", spy)
+    assert verify_partitioned(s, w=1) == Verdict(False, 9)
+    assert scanned == [32]
+
+
+def test_deep_tree_needs_no_recursion():
+    # 0 (mod 2^3000) splits about three thousand times on 2, child 0 first,
+    # one level at a time
+    deep = system([(0, 2**3000)])
+    assert verify_partitioned(deep) == verify_partitioned(deep, w=1) == Verdict(False, 1)
 
 
 def test_partitioned_in_several_slice_windows(monkeypatch):
@@ -235,10 +273,19 @@ def test_equivalence_panel_with_targets():
                 classes.append(ResidueClass(a, b))
         s = CoveringSystem(tuple(classes), target)
         vn = verify_naive(s)
-        assert verify_partitioned(s) == vn
+        for w in ("auto", 1, 2, 7, 30):
+            assert verify_partitioned(s, w=w) == vn
         if not vn.covered:
             assert vn.witness % tb == ta
             assert all(not c.contains(vn.witness) for c in classes)
+
+
+def test_equivalence_panels_through_the_residue_tree(monkeypatch):
+    # with one chunk of 64 residues, most slices of the panels' systems are
+    # split by the residue tree before their leaves are scanned
+    monkeypatch.setattr(covering, "_CHUNK", 64)
+    test_equivalence_panel_small()
+    test_equivalence_panel_with_targets()
 
 
 def _literal_gap(classes, count):
@@ -310,3 +357,45 @@ def test_periodicity_spot_check():
 @settings(max_examples=300)
 def test_covered_system_has_class_for_every_integer(n):
     assert satisfying_class(c0_system(), n) is not None
+
+
+def _dropped_class_gap(classes, i, steps=4096):
+    """Least member of classes[i] in no other class, testing its first
+    `steps` members one at a time (None if all of those are covered): for
+    a covering, the least gap left by dropping classes[i]."""
+    a, b = classes[i]
+    rest = classes[:i] + classes[i + 1:]
+    for n in range(a, a + b * steps, b):
+        if not any(n % b2 == a2 for a2, b2 in rest):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("name", ["sierpinski", "riesel"])
+def test_embedded_mutants_against_literal_scan(name):
+    s = getattr(appendix_data(), "cov_" + name[:4]).system
+    classes = [(c.a, c.b) for c in s.classes]
+    order = list(range(len(classes)))
+    random.Random(6).shuffle(order)
+    # the first 20 classes, in a seeded order, whose gap the literal scan finds
+    drops = ((i, x) for i in order if (x := _dropped_class_gap(classes, i)) is not None)
+    for i, x in itertools.islice(drops, 20):
+        mutant = system(classes[:i] + classes[i + 1:])
+        assert verify_partitioned(mutant) == Verdict(False, x)
+
+
+def test_lifted_covering_beyond_1e15():
+    # each of three classes (a, b) becomes its q lifts (a + b*i, q*b): the
+    # same integers, over an lcm 17*19*23 = 7429 times the Sierpinski one
+    classes = [(c.a, c.b) for c in appendix_data().cov_sier.system.classes]
+    for q in (17, 19, 23):
+        a, b = classes.pop(0)
+        classes += [(a + b * i, q * b) for i in range(q)]
+    lifted = system(classes)
+    assert lcm_of_moduli(lifted) == 7429 * APPENDIX_S_LCM > 10**15
+    assert verify_partitioned(lifted) == Verdict(True)
+    i = len(classes) - 5  # a lift over 23
+    witness = _dropped_class_gap(classes, i)
+    mutant = system(classes[:i] + classes[i + 1:])
+    for w in (780, 1):
+        assert verify_partitioned(mutant, w=w) == Verdict(False, witness)

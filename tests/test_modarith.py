@@ -13,20 +13,9 @@ from coversieve.modarith import (
     factor,
     inverse_mod,
     is_probable_prime,
-    mod_pow,
     multiplicative_order,
     verify_order,
 )
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 0, 7) == 1
-    assert mod_pow(2, 4, 5) == 1
-    assert mod_pow(2, 8, 257) == 256
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
 
 
 def test_inverse_mod_examples():

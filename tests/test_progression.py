@@ -15,7 +15,6 @@ from coversieve.progression import (
     build_riesel,
     build_sierpinski,
     combine_brier,
-    replace_offset,
     subprogression_shift,
     verify_base2_delicate,
     verify_brier,
@@ -567,11 +566,3 @@ def test_shift_digit_robust_probes():
             r = s.value_mod(m, d, n, mod)
             assert r == (s.B - 3**s.ell) % mod
             assert r != p and r != mod - p
-
-
-def test_replace_offset():
-    assert replace_offset(10, 3) == (10, 23)
-    assert math.gcd(*replace_offset(10, 3)) == 1
-    assert (2 * 10 + 3) % 10 == 3
-    with pytest.raises(ValueError):
-        replace_offset(10, 5)
