@@ -29,10 +29,8 @@ from .modarith import (
     FactorizationResult,
     IncompatibleCongruencesError,
     IncompleteFactorizationError,
-    NotInvertibleError,
     crt_combine,
     factor,
-    inverse_mod,
     is_probable_prime,
     multiplicative_order,
     verify_order,

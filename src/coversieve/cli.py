@@ -77,7 +77,9 @@ def cmd_verify(args) -> int:
     if args.method in ("naive", "both"):
         verdicts["naive"] = verify_naive(system)
     if args.method in ("partitioned", "both"):
-        pairs.append(("w", auto_w(system) if w == "auto" else w))
+        if w == "auto":
+            w = auto_w(system)
+        pairs.append(("w", w))
         verdicts["partitioned"] = verify_partitioned(system, w=w)
     if args.method == "both" and verdicts["naive"] != verdicts["partitioned"]:
         pairs.append(("error", "naive and partitioned verdicts disagree"))

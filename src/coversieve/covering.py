@@ -5,29 +5,27 @@ verify_partitioned splits the integers into residue slices mod w and checks
 each slice against the subsystem that can intersect it, which is what makes
 the 447- and 459-class systems tractable.  Both must always agree.
 
-verify_partitioned files each class (a, b) once, by g = gcd(b, w) and
-a mod g, and hands each bucket to the slices u ≡ a (mod g) it meets.  A
-slice whose period fits one _CHUNK is scanned; a longer one is the root of
-a residue tree (after Nielsen, J. Number Theory 129, 2009): a node splits
-on the prime dividing the most of its moduli, each class is rewritten into
-the coordinates of the children it meets, a child holding a class of
-modulus 1 is pruned, as is a node above the least gap found so far, and
-the leaves are scanned.  The one scan kernel, shared with the period
+verify_partitioned walks a residue tree (after Nielsen, J. Number Theory
+129, 2009) whose root split is by w and whose splits below are by primes,
+each the one that divides the most of a node's moduli.  Every split
+rewrites a class (a, b) once, by g = gcd(b, m) for a split by m, into the
+children it meets; a child that some class contains whole is not built, a
+node above the least gap found so far is dropped, and a node whose period
+fits one _CHUNK is scanned.  The one scan kernel, shared with the period
 checks, marks classes into chunked bytearrays in strides, on long scans
 over copies of a pattern of the smallest moduli; witnesses (least
 uncovered member) come out identical to the literal scan.
 
 Every size bound is a module constant, the same for every call: NAIVE_CAP
-on the naive lcm, _MAX_SLICES on the number of slices and WORK_CAP on the
-work of one verify_partitioned call, counted in tree nodes, root slices
-included, plus one per 2^16 residues scanned; work beyond them raises
-CapacityError.
+on the naive lcm and WORK_CAP on the work of one verify_partitioned call,
+counted in tree nodes, the root's children included, plus one per 64
+class entries written into children and one per 2^16 residues scanned;
+work beyond them raises CapacityError.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .modarith import CapacityError, factor, lcm_all
@@ -36,8 +34,7 @@ NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units one verify_partitioned call spends (~2 s)
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
-_SLICES = 1 << 12  # slices whose subsystems are collected at a time
-_MAX_SLICES = 10 ** 6  # most slices one verify_partitioned call scans (~8 s)
+_SLICES = 1 << 12  # children whose classes are collected at a time
 
 
 @dataclass(frozen=True, order=True)
@@ -199,15 +196,16 @@ def _primes(classes: list[tuple[int, int]]) -> list[int]:
 
 class _Work:
     """What one verify_partitioned call has spent: one unit per tree node,
-    root slices included, plus one per 2^16 residues scanned; more than
-    WORK_CAP units raise CapacityError.  Also holds the primes of the
-    moduli, factored on the first split only."""
+    the root's children included, one per 64 class entries written into
+    children and one per 2^16 residues scanned; more than WORK_CAP units
+    raise CapacityError.  Also holds the primes of the moduli, factored on
+    the first prime split only."""
 
     def __init__(self, classes: list[tuple[int, int]], primes: list[int] | None):
         self.classes, self._primes, self.spent = classes, primes, 0
 
-    def charge(self, nodes: int = 0, residues: int = 0):
-        self.spent += (nodes << 16) + residues  # in residues
+    def charge(self, nodes: int = 0, entries: int = 0, residues: int = 0):
+        self.spent += (nodes << 16) + (entries << 10) + residues  # in residues
         if self.spent > WORK_CAP << 16:
             raise CapacityError(
                 f"verification needs more than {WORK_CAP} work units"
@@ -220,104 +218,92 @@ class _Work:
         return self._primes
 
 
-def _least_gap(nodes: Iterable[tuple[list[tuple[int, int]], int, int]], work: _Work) -> int | None:
-    """Least u + w*y, y >= 0, over the nodes (classes, u, w) such that y
-    lies in none of its node's classes; None if every node is covered.
+def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | None:
+    """Least y >= 0 lying in none of the classes, or None if there is none.
 
-    A node holding a class of modulus 1 is covered, and a node whose least
-    member u is not below the least gap found so far is skipped.  A node
-    whose period fits one _CHUNK is scanned; a longer one splits on the
-    prime p that divides the most of its moduli, into the p children
-    y = s + p*z (_children).  Children are built one at a time from
-    iterators on an explicit stack, so neither a deep tree nor a large p
-    costs recursion, and memory holds one node's classes per level.
+    The root, all y, splits by W = gcd(w, lcm of the moduli) into its W
+    children y = s + W*z (_children); each node below it that fits one
+    _CHUNK is scanned, and a longer one splits on the prime p that divides
+    the most of its moduli.  A split is charged before any child is built.
+    Children are built one at a time from iterators on an explicit stack,
+    so neither a deep tree nor a large split costs recursion, and memory
+    holds one window of children per level.  A child's least member u
+    grows with s, so a level is dropped at the first child whose u is not
+    below the least gap found so far.
     """
-    best = None
-    stack = [iter(nodes)]
+    m = math.gcd(w, lcm_all(b for _, b in classes))
+    work.charge(nodes=m)
+    best = math.inf
+    stack = [_children(classes, 0, 1, m)]
     while stack:
-        for classes, u, w in stack[-1]:
-            if best is not None and u >= best:
-                continue  # no member of the node is below the least gap found
-            moduli = [b for _, b in classes]
-            if 1 in moduli:
-                continue  # a class contains the whole node
-            period = math.lcm(*moduli)
-            if period > _CHUNK:
-                moduli = set(moduli)
-                p = max(work.primes(), key=lambda q: sum(b % q == 0 for b in moduli))
-                work.charge(nodes=p)
-                stack.append(_children(classes, u, w, p))
-                break  # descend; this level resumes once the children are done
-            work.charge(residues=period)
-            gap = _first_uncovered(classes, period)
-            if gap is not None and (best is None or u + w * gap < best):
-                best = u + w * gap
-        else:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
-    return best
+            continue
+        classes, u, w = node
+        work.charge(entries=len(classes))
+        if u >= best:
+            stack.pop()  # neither this child nor a later one is below best
+            continue
+        moduli = {b for _, b in classes}
+        period = math.lcm(*moduli)
+        if period > _CHUNK:
+            p = max(work.primes(), key=lambda q: sum(b % q == 0 for b in moduli))
+            work.charge(nodes=p)
+            stack.append(_children(classes, u, w, p))
+            continue
+        work.charge(residues=period)
+        gap = _first_uncovered(classes, period)
+        if gap is not None:
+            best = min(best, u + w * gap)
+    return None if best == math.inf else best
 
 
-def _children(classes: list[tuple[int, int]], u: int, w: int, p: int):
-    """The children (classes, u + w*s, w*p), s in [0, p), of a node split
-    on the prime p, each in its own coordinate z, y = s + p*z.
+def _children(classes: list[tuple[int, int]], u: int, w: int, m: int):
+    """The children (classes, u + w*s, w*m), s in [0, m), of the node
+    (classes, u, w), each in its own coordinate z, y = s + m*z, leaving out
+    each child that some class contains whole.
 
-    A class (a, b) with p | b meets only child a mod p, as
-    ((a - s)/p, b/p); any other meets every child, as ((a - s) * p^-1 mod
-    b, b).
-    """
-    split, rest = [[] for _ in range(p)], []
-    for a, b in classes:
-        if b % p:
-            rest.append((a, pow(p, -1, b), b))
-        else:
-            split[a % p].append((a // p, b // p))
-    for s in range(p):
-        yield split[s] + [((a - s) * inv % b, b) for a, inv, b in rest], u + w * s, w * p
-
-
-def _slices(classes: list[tuple[int, int]], w: int, work: _Work):
-    """The slices {w*y + u : y >= 0}, u in [0, w), as _least_gap nodes,
-    leaving out each slice that some class contains whole.
-
-    Each class (a, b) meets exactly the slices u ≡ a (mod g), g = gcd(b, w).
+    A class (a, b) meets exactly the children s ≡ a (mod g), g = gcd(b, m).
     If g = b it contains them whole; otherwise it is filed once, under
-    (g, a mod g), and pulls back to y ≡ (a - u)/g * (w/g)^-1 (mod b/g) in
-    each of them.  The buckets are handed to _SLICES slices at a time, each
-    window charged to the work bound up front.
+    (g, a mod g), and becomes ((a - s)/g * (m/g)^-1 mod b/g, b/g) in each,
+    where (a - s)/g = a//g - s//g.  Children are collected _SLICES at a
+    time.
     """
     index, whole = {}, set()
     for a, b in classes:
-        g = math.gcd(b, w)
+        g = math.gcd(b, m)
         if g == b:
             whole.add((g, a % g))
         else:
-            inv = pow(w // g, -1, b // g)
-            index.setdefault((g, a % g), []).append((a, b // g, g, inv))
-    for lo in range(0, w, _SLICES):
-        subs = [[] for _ in range(min(_SLICES, w - lo))]
-        work.charge(nodes=len(subs))
+            # m/g = 1 for most classes of a prime split: no inverse to take
+            inv = pow(m // g, -1, b // g) if g < m else 1
+            index.setdefault((g, a % g), []).append((a // g, b // g, inv))
+    for lo in range(0, m, _SLICES):
+        subs = [[] for _ in range(min(_SLICES, m - lo))]
         for (g, r), bucket in index.items():
             for i in range((r - lo) % g, len(subs), g):
-                subs[i] += bucket
+                subs[i].append(((lo + i) // g, bucket))
         for g, r in whole:
             for i in range((r - lo) % g, len(subs), g):
                 subs[i] = None
-        for u, sub in enumerate(subs, lo):
+        for s, sub in enumerate(subs, lo):
             if sub is not None:
-                yield [((a - u) // g * inv % bp, bp) for a, bp, g, inv in sub], u, w
+                child = [((q - k) * inv % bp, bp) for k, bucket in sub for q, bp, inv in bucket]
+                yield child, u + w * s, w * m
 
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:
-    """Partitioned verification: for each u in [0, w), restrict to the
-    classes meeting the slice u (mod w) and find the slice's least
-    uncovered member, scanning a period of at most _CHUNK residues or
-    splitting a longer one by primes (_least_gap).  Covered iff every slice
-    is; the verdict always matches verify_naive.
+    """Partitioned verification: split the integers into the slices u
+    (mod w), restrict each to the classes meeting it, and find the least
+    uncovered member, scanning a period of at most _CHUNK residues and
+    splitting a longer one by primes (_least_gap).  Covered iff every
+    slice is; the verdict always matches verify_naive.
 
     w is first reduced to gcd(w, lcm of the moduli): slices u and u + that
     gcd meet the same classes, so the verdict and the least witness stay
-    the same.  More than _MAX_SLICES slices, or more than WORK_CAP units
-    of work, is refused with CapacityError.
+    the same.  More than WORK_CAP units of work, that many slices
+    included, is refused with CapacityError.
     """
     classes, M, t = _offset_form(system)
     primes = None
@@ -328,13 +314,7 @@ def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict
         w = _auto_w(primes)
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
-    w = math.gcd(w, lcm_all(b for _, b in classes))
-    if w > _MAX_SLICES:
-        raise CapacityError(
-            f"{w} slices (the gcd of w and the lcm) exceed {_MAX_SLICES}"
-        )
-    work = _Work(classes, primes)
-    gap = _least_gap(_slices(classes, w, work), work)
+    gap = _least_gap(classes, w, _Work(classes, primes))
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)

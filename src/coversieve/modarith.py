@@ -1,7 +1,7 @@
 """Arbitrary-precision modular arithmetic kernel.
 
-Powers, inverses, multiplicative orders, generalized CRT over non-coprime
-moduli, deterministic primality testing, and effort-bounded factorization.
+Multiplicative orders, generalized CRT over non-coprime moduli,
+deterministic primality testing, and effort-bounded factorization.
 Everything here is a pure function of its inputs plus an explicit budget,
 so results are reproducible and safe to call from multiple threads.
 """
@@ -11,14 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-
-
-class NotInvertibleError(ValueError):
-    """x has no inverse modulo m; carries gcd(x, m) as a witness."""
-
-    def __init__(self, x: int, modulus: int, gcd: int):
-        super().__init__(f"{x} is not invertible mod {modulus} (gcd = {gcd})")
-        self.gcd = gcd
 
 
 class IncompatibleCongruencesError(ValueError):
@@ -98,16 +90,6 @@ class FactorizationResult:
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
-
-
-def inverse_mod(x: int, modulus: int) -> int:
-    """y in [0, modulus) with x*y ≡ 1 (mod modulus)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    g = math.gcd(x, modulus)
-    if g != 1:
-        raise NotInvertibleError(x, modulus, g)
-    return pow(x, -1, modulus)
 
 
 # Strong-pseudoprime bases proving primality for all n below _SPRP_BOUND

@@ -25,7 +25,6 @@ from .modarith import (
     IncompatibleCongruencesError,
     crt_combine,
     factor,
-    inverse_mod,
     is_probable_prime,
     lcm_all,
     multiplicative_order,
@@ -131,7 +130,7 @@ def _build(assignments, kind: str, require_covering: bool, budget: Budget):
     congruences = [Congruence(1, 2)]
     for asg in assignments:
         p = asg.prime
-        inv = inverse_mod(pow(2, asg.cls.a, p), p)
+        inv = pow(2, -asg.cls.a, p)
         congruences.append(Congruence(sign * inv, p))
     combined = crt_combine(congruences)
     A = 2 * math.prod(a.prime for a in assignments)

@@ -141,28 +141,54 @@ def test_w7_verifies_sierpinski():
 
 def test_work_bound(monkeypatch):
     s = appendix_data().cov_sier.system
-    # 780 root slices fit, the scans on top of them do not
+    # 780 root children fit, the scans on top of them do not
     monkeypatch.setattr(covering, "WORK_CAP", 780)
     with pytest.raises(CapacityError, match="more than 780 work units"):
         verify_partitioned(s)
     # a split is charged for its p children before any child is built:
     # the prime 1048583 > 2^20 alone asks for more children than the bound
     monkeypatch.undo()
-    monkeypatch.setattr(covering, "_children", None)
+    children = covering._children
+    def spy(classes, u, w, m):
+        assert m != 1048583, "the split by 1048583 was built"
+        return children(classes, u, w, m)
+    monkeypatch.setattr(covering, "_children", spy)
     with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
         verify_partitioned(system([(0, 1048583)]), w=1)
 
 
-def test_slice_count_bound(monkeypatch):
+def test_root_split_beyond_the_bound_is_refused(monkeypatch):
+    # the root split by gcd(w, lcm) is charged before any child is built
+    # or scanned: the whole lcm, and 7800 children under a bound of 780
     s = appendix_data().cov_sier.system
-    monkeypatch.setattr(covering, "_MAX_SLICES", 780)
-    assert verify_partitioned(s, w=780) == Verdict(True)
-    # refused before any class is indexed or any slice scanned
-    monkeypatch.setattr(covering, "_least_gap", None)
-    with pytest.raises(CapacityError, match="7800 slices .* exceed 780"):
-        verify_partitioned(s, w=7800)
-    with pytest.raises(CapacityError, match=f"{APPENDIX_S_LCM} slices"):
+    calls = []
+    monkeypatch.setattr(covering, "_children", lambda *args: calls.append(args))
+    monkeypatch.setattr(covering, "_first_uncovered", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
         verify_partitioned(s, w=10 * APPENDIX_S_LCM)
+    monkeypatch.setattr(covering, "WORK_CAP", 780)
+    with pytest.raises(CapacityError, match="more than 780 work units"):
+        verify_partitioned(s, w=7800)
+    assert calls == []
+
+
+def test_work_bound_counts_class_entries(monkeypatch):
+    # 640 classes mod 7 enter each of the three nodes below the root's one
+    # child, so 1929 class entries cost 30 units, where the nodes and the
+    # scans cost about 4: a node count alone would pass a bound of 20
+    monkeypatch.setattr(covering, "_CHUNK", 64)
+    s = system([(0, 2), (0, 3), (1, 9)] + [(a % 7, 7) for a in range(640)])
+    spent = []
+    charge = covering._Work.charge
+    def spy(self, nodes=0, entries=0, residues=0):
+        spent.append((nodes << 16) + residues)
+        charge(self, nodes, entries, residues)
+    monkeypatch.setattr(covering._Work, "charge", spy)
+    assert verify_partitioned(s, w=1) == Verdict(True)
+    assert sum(spent) < 5 << 16
+    monkeypatch.setattr(covering, "WORK_CAP", 20)
+    with pytest.raises(CapacityError, match="more than 20 work units"):
+        verify_partitioned(s, w=1)
 
 
 def _random_system(rng):
@@ -212,6 +238,55 @@ def test_tree_prunes_children_a_class_contains(monkeypatch):
     monkeypatch.setattr(covering, "_first_uncovered", spy)
     assert verify_partitioned(s, w=1) == Verdict(False, 9)
     assert scanned == [32]
+
+
+def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
+    # with one chunk of 8 residues the root's one child, period 14, splits
+    # on 7; the classes mod 7 contain every child of that split but s = 1
+    monkeypatch.setattr(covering, "_CHUNK", 8)
+    s = system([(a, 7) for a in (0, 2, 3, 4, 5, 6)] + [(1, 14), (8, 14)])
+    built = {}
+    children = covering._children
+    def spy(classes, u, w, m):
+        for node in children(classes, u, w, m):
+            built.setdefault(m, []).append(node[1])
+            yield node
+    monkeypatch.setattr(covering, "_children", spy)
+    assert verify_partitioned(s, w=1) == Verdict(True)
+    assert built == {1: [0], 7: [1]}
+
+
+def test_uncovered_system_builds_no_child_past_the_least_gap(monkeypatch):
+    # each scan is of the child yielded just before it, so the spies can
+    # follow the least gap found so far: a level yields no child after
+    # its first one that is not below that gap
+    monkeypatch.setattr(covering, "_CHUNK", 8)
+    s = system([(0, 2), (0, 3), (0, 5), (1, 2310)])
+    events = []
+    children, first_uncovered = covering._children, covering._first_uncovered
+    def spy_children(classes, u, w, m):
+        level = object()
+        for node in children(classes, u, w, m):
+            events.append((level, node[1], node[2]))
+            yield node
+    def spy_scan(classes, count):
+        gap = first_uncovered(classes, count)
+        events.append(gap)
+        return gap
+    monkeypatch.setattr(covering, "_children", spy_children)
+    monkeypatch.setattr(covering, "_first_uncovered", spy_scan)
+    assert verify_partitioned(s, w=30) == verify_naive(s) == Verdict(False, 7)
+    best, stopped = math.inf, []
+    for event in events:
+        if isinstance(event, tuple):
+            level, u, w = event
+            assert level not in stopped
+            if u >= best:
+                stopped.append(level)
+        elif event is not None:
+            best = min(best, u + w * event)
+    # 211, then 31, then 7: the splits by 11, by 7 and by 30 each stop
+    assert best == 7 and len(stopped) == 3
 
 
 def test_deep_tree_needs_no_recursion():

@@ -8,31 +8,12 @@ from coversieve.modarith import (
     Congruence,
     IncompatibleCongruencesError,
     IncompleteFactorizationError,
-    NotInvertibleError,
     crt_combine,
     factor,
-    inverse_mod,
     is_probable_prime,
     multiplicative_order,
     verify_order,
 )
-
-
-def test_inverse_mod_examples():
-    assert inverse_mod(1, 5) == 1
-    assert inverse_mod(4, 5) == 4
-    with pytest.raises(NotInvertibleError) as exc:
-        inverse_mod(2, 4)
-    assert exc.value.gcd == 2
-
-
-@given(st.integers(-10**6, 10**6), st.integers(2, 10**6))
-def test_inverse_roundtrip(x, m):
-    if math.gcd(x, m) == 1:
-        assert x * inverse_mod(x, m) % m == 1
-    else:
-        with pytest.raises(NotInvertibleError):
-            inverse_mod(x, m)
 
 
 def test_primality_examples():
