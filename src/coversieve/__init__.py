@@ -10,7 +10,6 @@ from .covering import (
     lcm_of_moduli,
     redundant_classes,
     satisfying_class,
-    verify_auto,
     verify_naive,
     verify_partitioned,
 )

@@ -1,26 +1,29 @@
 """Residue classes and covering systems, with two independent verifiers.
 
-verify_naive scans every member of the target below the lcm of the moduli;
-verify_partitioned splits the integers into residue slices mod w and checks
-each slice against the subsystem that can intersect it, which is what makes
-the 447- and 459-class systems tractable.  Both must always agree.
+verify_naive, the literal oracle, scans every member of the target below
+the lcm of the moduli.  verify_partitioned, the verifier the library
+itself uses, walks a residue tree (after Nielsen, J. Number Theory 129,
+2009) and handles any size, the 447- and 459-class systems included.
+Both must always agree.
 
-verify_partitioned walks a residue tree (after Nielsen, J. Number Theory
-129, 2009) whose root split is by w and whose splits below are by primes,
-each the one that divides the most of a node's moduli.  Every split
-rewrites a class (a, b) once, by g = gcd(b, m) for a split by m, into the
-children it meets; a child that some class contains whole is not built, a
-node above the least gap found so far is dropped, and a node whose period
-fits one _CHUNK is scanned.  The one scan kernel, shared with the period
-checks, marks classes into chunked bytearrays in strides, on long scans
-over copies of a pattern of the smallest moduli; witnesses (least
-uncovered member) come out identical to the literal scan.
+Every node of the tree, the root included, follows one rule: a node that
+holds a modulus-1 class is covered, a node that fits one _CHUNK, or
+whose scan costs fewer work units than its split, is scanned, and any
+other node splits: the root into the slices mod gcd(w, period), every
+later node on the prime dividing the most of its moduli, which are
+factored only when a node longer than one _CHUNK needs their primes.
+Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
+by m, into the children it meets; a child that some class contains whole
+is not built, and a node above the least gap found so far is dropped.
+The one scan kernel, shared with the period checks, marks classes into
+chunked bytearrays in strides, on long scans over copies of a pattern of
+the smallest moduli; witnesses come out identical to the literal scan.
 
 Every size bound is a module constant, the same for every call: NAIVE_CAP
-on the naive lcm and WORK_CAP on the work of one verify_partitioned call,
-counted in tree nodes, the root's children included, plus one per 64
-class entries written into children and one per 2^16 residues scanned;
-work beyond them raises CapacityError.
+on the lcm verify_naive scans and WORK_CAP on the work of one
+verify_partitioned call, counted as one unit per tree node, one per 64
+class entries held by the nodes and one per 2^16 residues scanned; work
+beyond them raises CapacityError.
 """
 
 from __future__ import annotations
@@ -181,81 +184,93 @@ def auto_w(system: CoveringSystem) -> int:
     """The verification width 4*3*5*q, with q the largest prime dividing the
     lcm of the moduli (taken from the factored moduli, never by factoring
     the lcm itself).  Target-restricted systems use their reduced moduli."""
-    return _auto_w(_primes(_offset_form(system)[0]))
+    return _auto_w(_Work(_offset_form(system)[0]))
 
 
-def _auto_w(primes: list[int]) -> int:
-    """auto_w from the primes of the offset-form moduli."""
-    return 4 * 3 * 5 * max(primes, default=1)
-
-
-def _primes(classes: list[tuple[int, int]]) -> list[int]:
-    """The primes dividing some modulus, ascending, from the factored moduli."""
-    return sorted({p for b in {b for _, b in classes} if b > 1 for p in factor(b).primes()})
+def _auto_w(work: _Work) -> int:
+    return 4 * 3 * 5 * max(work.primes(), default=1)
 
 
 class _Work:
     """What one verify_partitioned call has spent: one unit per tree node,
-    the root's children included, one per 64 class entries written into
-    children and one per 2^16 residues scanned; more than WORK_CAP units
-    raise CapacityError.  Also holds the primes of the moduli, factored on
-    the first prime split only."""
+    one per 64 class entries and one per 2^16 residues scanned; more than
+    WORK_CAP units raise CapacityError.  Also holds the primes of the
+    moduli, factored on the first split that needs them."""
 
-    def __init__(self, classes: list[tuple[int, int]], primes: list[int] | None):
-        self.classes, self._primes, self.spent = classes, primes, 0
+    def __init__(self, classes: list[tuple[int, int]]):
+        self.classes, self._primes, self.spent = classes, None, 0
 
     def charge(self, nodes: int = 0, entries: int = 0, residues: int = 0):
         self.spent += (nodes << 16) + (entries << 10) + residues  # in residues
         if self.spent > WORK_CAP << 16:
             raise CapacityError(
                 f"verification needs more than {WORK_CAP} work units"
-                " (tree nodes plus 2^16-residue scans)"
+                " (one per tree node, per 64 class entries and per 2^16 residues scanned)"
             )
 
     def primes(self) -> list[int]:
+        """The primes dividing some modulus, ascending; a modulus that
+        factor() leaves incomplete raises CapacityError."""
         if self._primes is None:
-            self._primes = _primes(self.classes)
+            primes = set()
+            for b in {b for _, b in self.classes if b > 1}:
+                f = factor(b)
+                if not f.complete:
+                    raise CapacityError(
+                        f"cannot factor modulus {b} within the factoring budget;"
+                        " the residue tree splits only by known primes"
+                    )
+                primes.update(f.primes())
+            self._primes = sorted(primes)
         return self._primes
 
 
-def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | None:
+def _least_gap(classes: list[tuple[int, int]], w: int | str, work: _Work) -> int | None:
     """Least y >= 0 lying in none of the classes, or None if there is none.
 
-    The root, all y, splits by W = gcd(w, lcm of the moduli) into its W
-    children y = s + W*z (_children); each node below it that fits one
-    _CHUNK is scanned, and a longer one splits on the prime p that divides
-    the most of its moduli.  A split is charged before any child is built.
-    Children are built one at a time from iterators on an explicit stack,
-    so neither a deep tree nor a large split costs recursion, and memory
-    holds one window of children per level.  A child's least member u
-    grows with s, so a level is dropped at the first child whose u is not
-    below the least gap found so far.
+    Every node, the root (all y) included, is covered if it holds a
+    modulus-1 class.  A node longer than one _CHUNK picks its split m: the
+    root gcd(w, period) (w="auto" is resolved only then), every later node,
+    or the root when that gcd is 1, the prime dividing the most of its
+    moduli.  It is scanned if it fits one _CHUNK or its scan costs fewer
+    units than m children (a chunk is 16), so no split is dearer than the
+    scan it replaces; else it splits, charged before any child is built.  Children
+    are built one at a time from iterators on an explicit stack, so neither
+    a deep tree nor a large split costs recursion, and memory holds one
+    window of children per level.  A child's least member u grows with s, so a level
+    is dropped at the first child whose u is not below the least gap found
+    so far.
     """
-    m = math.gcd(w, lcm_all(b for _, b in classes))
-    work.charge(nodes=m)
     best = math.inf
-    stack = [_children(classes, 0, 1, m)]
+    stack = [iter([(classes, 0, 1)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        classes, u, w = node
+        classes, u, step = node
         work.charge(entries=len(classes))
         if u >= best:
             stack.pop()  # neither this child nor a later one is below best
             continue
         moduli = {b for _, b in classes}
+        if 1 in moduli:
+            continue
         period = math.lcm(*moduli)
         if period > _CHUNK:
-            p = max(work.primes(), key=lambda q: sum(b % q == 0 for b in moduli))
-            work.charge(nodes=p)
-            stack.append(_children(classes, u, w, p))
+            if w == "auto":
+                w = _auto_w(work)
+            m, w = math.gcd(w, period), 1  # only the first split is by w
+            if m == 1:
+                m = max(work.primes(), key=lambda q: sum(b % q == 0 for b in moduli))
+        if period <= _CHUNK or period < m * (_CHUNK >> 4):  # a chunk is 16 units
+            work.charge(residues=period)
+            gap = _first_uncovered(classes, period)
+            if gap is not None:
+                best = min(best, u + step * gap)
             continue
-        work.charge(residues=period)
-        gap = _first_uncovered(classes, period)
-        if gap is not None:
-            best = min(best, u + w * gap)
+        work.charge(nodes=m)
+        stack.append(_children(classes, u, step, m))
     return None if best == math.inf else best
 
 
@@ -294,41 +309,22 @@ def _children(classes: list[tuple[int, int]], u: int, w: int, m: int):
 
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:
-    """Partitioned verification: split the integers into the slices u
-    (mod w), restrict each to the classes meeting it, and find the least
-    uncovered member, scanning a period of at most _CHUNK residues and
-    splitting a longer one by primes (_least_gap).  Covered iff every
-    slice is; the verdict always matches verify_naive.
-
-    w is first reduced to gcd(w, lcm of the moduli): slices u and u + that
-    gcd meet the same classes, so the verdict and the least witness stay
-    the same.  More than WORK_CAP units of work, that many slices
-    included, is refused with CapacityError.
+    """Partitioned verification: the least uncovered member of the target
+    by the residue tree (_least_gap), whose root, if it splits, splits
+    first into the slices u (mod gcd(w, lcm)); slices u and
+    u + gcd(w, lcm) meet the same classes, so any w gives the same verdict
+    and least witness as verify_naive.  More than WORK_CAP units of work,
+    the slices included, is refused with CapacityError.
     """
-    classes, M, t = _offset_form(system)
-    primes = None
-    if isinstance(w, str):
-        if w != "auto":
-            raise ValueError(f"w must be an integer or 'auto', got {w!r}")
-        primes = _primes(classes)
-        w = _auto_w(primes)
-    if w < 1:
+    if isinstance(w, str) and w != "auto":
+        raise ValueError(f"w must be an integer or 'auto', got {w!r}")
+    if not isinstance(w, str) and w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
-    gap = _least_gap(classes, w, _Work(classes, primes))
+    classes, M, t = _offset_form(system)
+    gap = _least_gap(classes, w, _Work(classes))
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)
-
-
-def verify_auto(system: CoveringSystem) -> Verdict:
-    """The verifier the library itself relies on: verify_naive when the
-    target-restricted lcm is at most NAIVE_CAP, otherwise
-    verify_partitioned with the automatic width."""
-    # the offset-form lcm, lcm(b / gcd(b, M)), is lcm(b) / gcd(lcm(b), M)
-    ell = lcm_of_moduli(system)
-    if ell // math.gcd(ell, system.target.b) <= NAIVE_CAP:
-        return verify_naive(system)
-    return verify_partitioned(system)
 
 
 def covers_target(classes, target: ResidueClass) -> Verdict:
@@ -337,13 +333,13 @@ def covers_target(classes, target: ResidueClass) -> Verdict:
     Classes that cannot intersect the target are rejected (CoveringSystem
     enforces this).
     """
-    return verify_auto(CoveringSystem(tuple(classes), target))
+    return verify_partitioned(CoveringSystem(tuple(classes), target))
 
 
 def redundant_classes(system: CoveringSystem) -> list[ResidueClass]:
     """Classes whose removal (greedily, in list order) leaves the system a
     covering.  The input must itself verify as covered."""
-    if not verify_auto(system).covered:
+    if not verify_partitioned(system).covered:
         raise ValueError("redundant_classes requires a covering system")
     kept = list(system.classes)
     dropped = []
@@ -351,7 +347,7 @@ def redundant_classes(system: CoveringSystem) -> list[ResidueClass]:
     while i < len(kept):
         if len(kept) > 1:
             trial = CoveringSystem(tuple(kept[:i] + kept[i + 1:]), system.target)
-            if verify_auto(trial).covered:
+            if verify_partitioned(trial).covered:
                 dropped.append(kept.pop(i))
                 continue
         i += 1

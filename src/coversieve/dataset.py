@@ -78,7 +78,11 @@ def parse_covering(text: str, source: str = "<string>") -> LoadedCovering:
         tags.append(tag)
     if not classes:
         raise ValueError(f"{source}: no congruence classes found")
-    return LoadedCovering(CoveringSystem(tuple(classes), target), tuple(tags))
+    try:
+        system = CoveringSystem(tuple(classes), target)
+    except ValueError as exc:  # a class that cannot meet the target
+        raise ValueError(f"{source}: {exc}")
+    return LoadedCovering(system, tuple(tags))
 
 
 def load_covering(path) -> LoadedCovering:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .covering import CoveringSystem, ResidueClass, _first_uncovered, verify_auto
+from .covering import CoveringSystem, ResidueClass, _first_uncovered, verify_partitioned
 from .modarith import (
     Budget,
     CapacityError,
@@ -120,7 +120,7 @@ def _build(assignments, kind: str, require_covering: bool, budget: Budget):
     _check_assignments(assignments, budget)
     classes = tuple(a.cls for a in assignments)
     if require_covering:
-        verdict = verify_auto(CoveringSystem(classes))
+        verdict = verify_partitioned(CoveringSystem(classes))
         if not verdict.covered:
             raise ValueError(
                 f"assignment classes do not cover the integers "

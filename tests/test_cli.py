@@ -6,6 +6,7 @@ from coversieve import cli, covering
 from coversieve.cli import main
 from coversieve.covering import Verdict
 from coversieve.dataset import export_data_files
+from coversieve.modarith import Budget, factor
 
 import sieve_data as sd
 
@@ -90,7 +91,18 @@ def test_verify_refuses_work_beyond_the_bound(capsys, datadir, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: verification needs more than 1000 work units" \
-        " (tree nodes plus 2^16-residue scans)\n"
+        " (one per tree node, per 64 class entries and per 2^16 residues scanned)\n"
+
+
+def test_verify_refuses_a_modulus_it_cannot_factor(capsys, tmp_path, monkeypatch):
+    n = (2**61 - 1) * (2**64 - 59)
+    starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
+    monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
+    f = tmp_path / "semiprime.cov"
+    f.write_text(f"0 {n}\n1 2\n")
+    assert main(["verify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot factor modulus {n} ")
 
 
 def test_verify_missing_file(capsys):

@@ -20,7 +20,7 @@ from coversieve.covering import (
     verify_partitioned,
 )
 from coversieve.dataset import appendix_data, c0_system
-from coversieve.modarith import CapacityError
+from coversieve.modarith import Budget, CapacityError, factor
 
 from sieve_data import APPENDIX_R_LCM, APPENDIX_S_LCM, TABLE2
 
@@ -67,18 +67,45 @@ def test_partitioned_examples():
     assert not v.covered and v.witness == 8
 
 
-def test_partitioned_huge_w_is_reduced_to_the_lcm():
-    # w is cut to gcd(w, lcm); a loop over range(10**12) would never return
-    assert verify_partitioned(c0_system(), w=10**12) == verify_naive(c0_system())
+def test_partitioned_huge_w_is_reduced_to_the_lcm(monkeypatch):
+    # with one chunk of 4 residues the root, period 9, splits by gcd(w, 9);
+    # a loop over range(w) would never return
+    monkeypatch.setattr(covering, "_CHUNK", 4)
+    w = 3 * 10**12
+    assert verify_partitioned(c0_system(), w=w) == verify_naive(c0_system())
     uncovered = system([(0, 3), (1, 3), (2, 9), (5, 9)])
-    assert verify_partitioned(uncovered, w=10**12) == verify_naive(uncovered)
-    assert verify_partitioned(uncovered, w=10**12 + 1).witness == 8
+    assert verify_partitioned(uncovered, w=w) == verify_naive(uncovered)
+    assert verify_partitioned(uncovered, w=w + 1).witness == 8
 
 
-def test_partitioned_empty_slice_witness():
-    # only odd numbers covered: every even slice is empty at w = 2
+def test_partitioned_empty_slice_witness(monkeypatch):
+    # only odd numbers covered: at w = 2 the even slice meets no class
+    monkeypatch.setattr(covering, "_CHUNK", 1)
     v = verify_partitioned(system([(1, 2)]), w=2)
     assert not v.covered and v.witness == 0
+
+
+def test_root_within_one_chunk_is_scanned_not_split(monkeypatch):
+    # a root whose period fits one chunk is scanned whatever w is: 2^20
+    # children under WORK_CAP = 10^5 would be refused
+    s = system([(0, 2**20)])
+    assert verify_partitioned(s, w=2**20) == verify_naive(s) == Verdict(False, 1)
+    # and w="auto" factors nothing for it
+    monkeypatch.setattr(covering, "factor", None)
+    assert verify_partitioned(c0_system()) == Verdict(True)
+
+
+def test_unfactorable_modulus_is_refused_by_name(monkeypatch):
+    # a starved factoring leaves the semiprime (2^61-1)(2^64-59) whole, as
+    # the default budget does after seconds; alone it has no prime to split
+    # on, and beside (1 mod 2) every split would be by 2
+    n = (2**61 - 1) * (2**64 - 59)
+    starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
+    monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
+    for s in (system([(0, n)]), system([(0, n), (1, 2)])):
+        for w in ("auto", 1):
+            with pytest.raises(CapacityError, match=f"cannot factor modulus {n} "):
+                verify_partitioned(s, w=w)
 
 
 def test_auto_w_rule():
@@ -146,15 +173,17 @@ def test_work_bound(monkeypatch):
     with pytest.raises(CapacityError, match="more than 780 work units"):
         verify_partitioned(s)
     # a split is charged for its p children before any child is built:
-    # the prime 1048583 > 2^20 alone asks for more children than the bound
+    # the prime 1048583 > 2^20 alone asks for more children than the bound,
+    # and scanning the period 1048583 * 1048601 would cost more still
     monkeypatch.undo()
     children = covering._children
     def spy(classes, u, w, m):
         assert m != 1048583, "the split by 1048583 was built"
         return children(classes, u, w, m)
     monkeypatch.setattr(covering, "_children", spy)
+    monkeypatch.setattr(covering, "_first_uncovered", None)
     with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
-        verify_partitioned(system([(0, 1048583)]), w=1)
+        verify_partitioned(system([(0, 1048583 * 1048601)]), w=1)
 
 
 def test_root_split_beyond_the_bound_is_refused(monkeypatch):
@@ -173,8 +202,8 @@ def test_root_split_beyond_the_bound_is_refused(monkeypatch):
 
 
 def test_work_bound_counts_class_entries(monkeypatch):
-    # 640 classes mod 7 enter each of the three nodes below the root's one
-    # child, so 1929 class entries cost 30 units, where the nodes and the
+    # 640 classes mod 7 sit in the root and in both children its split on 3
+    # keeps, so 1926 class entries cost 30 units, where the nodes and the
     # scans cost about 4: a node count alone would pass a bound of 20
     monkeypatch.setattr(covering, "_CHUNK", 64)
     s = system([(0, 2), (0, 3), (1, 9)] + [(a % 7, 7) for a in range(640)])
@@ -205,6 +234,43 @@ def _one_gap_system(x):
     return system([(a, m) for m in (32, 27, 25, 7, 11) for a in range(m) if a != x % m])
 
 
+def _redundant_naive(s):
+    # redundant_classes' greedy rule in list order, by the literal oracle
+    want, kept, i = [], list(s.classes), 0
+    while i < len(kept):
+        if verify_naive(CoveringSystem(tuple(kept[:i] + kept[i + 1:]), s.target)).covered:
+            want.append(kept.pop(i))
+        else:
+            i += 1
+    return want
+
+
+def test_library_verdicts_beyond_one_chunk_match_naive():
+    # lcm 1663200 lies between 2^20 and NAIVE_CAP
+    x = 1_600_001
+    gap = _one_gap_system(x)
+    assert covers_target(gap.classes, ALL_INTEGERS) == verify_naive(gap) == Verdict(False, x)
+    # of the two classes closing the gap, only (x mod 3326400), which lies
+    # inside (x mod 1663200), is redundant
+    s = system([(c.a, c.b) for c in gap.classes] + [(x, 1663200), (x, 3326400)])
+    assert redundant_classes(s) == _redundant_naive(s) == [ResidueClass(x, 3326400)]
+
+
+def test_library_scans_a_root_whose_split_costs_more():
+    # lcms 4000012 and 3000009 lie below NAIVE_CAP, but the root's split,
+    # by gcd(60q, lcm) = lcm at "auto" or on q = 1000003 at w=1, would ask
+    # for more children than WORK_CAP: the root is scanned instead
+    q = 1000003
+    for pairs in ([(0, 2), (1, 4), (3, 4 * q)], [(0, q), (1, q), (2, 3 * q)]):
+        s = system(pairs)
+        want = verify_naive(s)
+        assert not want.covered
+        assert covers_target(s.classes, ALL_INTEGERS) == want
+        assert verify_partitioned(s, w=1) == want
+        closed = system(pairs + [(0, 2), (1, 2)])
+        assert redundant_classes(closed) == _redundant_naive(closed) != []
+
+
 def test_equivalence_panel_small():
     rng = random.Random(424242)
     for _ in range(150):
@@ -217,7 +283,7 @@ def test_equivalence_panel_small():
 
 
 def test_partitioned_skips_slices_a_class_contains(monkeypatch):
-    # (0 mod 1) contains every slice, so no slice is scanned
+    # (0 mod 1) contains the whole root, so nothing is scanned
     monkeypatch.setattr(covering, "_first_uncovered", None)
     s = system([(1, 1000), (0, 1)])
     assert verify_partitioned(s, w=10) == Verdict(True)
@@ -241,8 +307,9 @@ def test_tree_prunes_children_a_class_contains(monkeypatch):
 
 
 def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
-    # with one chunk of 8 residues the root's one child, period 14, splits
-    # on 7; the classes mod 7 contain every child of that split but s = 1
+    # with one chunk of 8 residues the root, period 14, splits on 7 (at
+    # w=1 there is no split by w); the classes mod 7 contain every child of
+    # that split but s = 1
     monkeypatch.setattr(covering, "_CHUNK", 8)
     s = system([(a, 7) for a in (0, 2, 3, 4, 5, 6)] + [(1, 14), (8, 14)])
     built = {}
@@ -253,7 +320,7 @@ def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
             yield node
     monkeypatch.setattr(covering, "_children", spy)
     assert verify_partitioned(s, w=1) == Verdict(True)
-    assert built == {1: [0], 7: [1]}
+    assert built == {7: [1]}
 
 
 def test_uncovered_system_builds_no_child_past_the_least_gap(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coversieve.covering import ResidueClass, lcm_of_moduli, verify_partitioned
 from coversieve.dataset import (
@@ -147,6 +148,41 @@ def test_parse_errors(text):
 def test_parse_error_carries_line_number():
     with pytest.raises(ValueError, match=":2:"):
         parse_covering("1 2\nbad line here\n")
+
+
+def test_parse_error_names_the_source_for_a_class_off_the_target():
+    with pytest.raises(ValueError) as exc:
+        parse_covering("target 2 8\n1 16\n", source="t.cov")
+    assert str(exc.value) == "t.cov: class 1 (mod 16) cannot intersect target 2 (mod 8)"
+
+
+# texts near the grammar: an optional target header, classes over small
+# integers, so that they meet or miss the target, with tags good and bad,
+# and lines of arbitrary tokens anywhere
+_INT = st.integers(-20, 100).map(str)
+_TAG = st.sampled_from(["", "", "", "", "", "i=3", "i=-1", "p=2", "# note", "p=1", "i=", "q=4"])
+_NOISE = st.lists(st.one_of(_INT, _TAG, st.text(max_size=3)), max_size=4).map(" ".join)
+_CLASS = st.tuples(_INT, st.integers(0, 64).map(str), _TAG).map(" ".join)
+_LINES = st.lists(st.one_of(_CLASS, _CLASS, _CLASS, _NOISE), max_size=6)
+_TARGET = st.tuples(st.just("target"), _INT, st.integers(0, 16).map(str)).map(" ".join)
+_TEXTS = st.one_of(
+    st.text(),
+    st.tuples(st.lists(_TARGET, max_size=1), _LINES).map(lambda t: "\n".join(t[0] + t[1])),
+)
+
+
+@given(_TEXTS)
+@settings(max_examples=400, deadline=None)
+def test_parse_fuzz_round_trips_or_names_the_source(text):
+    try:
+        loaded = parse_covering(text, source="fuzz.cov")
+    except ValueError as exc:
+        assert str(exc).startswith("fuzz.cov:")
+        return
+    out = serialize_covering(loaded.system, loaded.tags)
+    back = parse_covering(out, source="fuzz.cov")
+    assert back == loaded
+    assert serialize_covering(back.system, back.tags) == out
 
 
 def test_roundtrip_bit_exact():
