@@ -9,6 +9,7 @@ fixed INDEX_CAP are refused with CapacityError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
@@ -120,6 +121,22 @@ def cyclotomic_value(b: int, x0: int) -> int:
     return value
 
 
+def _aurifeuillian_parts(b: int, base: int, value: int) -> tuple[int, ...]:
+    """value, a divisor of Φ_b(base), split into coprime parts.
+
+    For base 2 and b ≡ 4 (mod 8), with m = b/4 and h = (m+1)/2, Φ_b(2)
+    divides 2^(2m) + 1 = (2^m - 2^h + 1)(2^m + 2^h + 1), and the two
+    factors are coprime (Brent, Math. Comp. 61, 1993), so a gcd with one
+    of them splits value in two parts of about half its size.
+    """
+    if base != 2 or b % 8 != 4:
+        return (value,)
+    m = b // 4
+    h = (m + 1) // 2
+    g = math.gcd(value, 2**m - 2**h + 1)
+    return g, value // g
+
+
 def primes_of_order(
     b: int,
     base: int = 2,
@@ -132,7 +149,10 @@ def primes_of_order(
     candidates ≡ 1 (mod b), since any prime of order b is 1 mod b; the one
     possible divisor not of order b (the largest prime factor of b) is
     stripped first.  What is left has no divisor up to the trial limit, so
-    it goes to factor()'s rho and primality stage without trial division.
+    it goes to factor()'s primality, p-1 and rho stages without trial
+    division: for base 2 and b ≡ 4 (mod 8) as the two halves of its
+    Aurifeuillian factorization, one factor() call each, and otherwise
+    whole.  unfactored_cofactor is the product of what each call leaves.
     Every surviving prime has its order verified.
     """
     if base not in (2, 10):
@@ -151,10 +171,13 @@ def primes_of_order(
             while value % c == 0:
                 value //= c
         c += b
-    if value > 1:
-        sub = factor(value, replace(budget, trial_limit=1))
-        found.extend(sub.primes())
-        value = sub.cofactor
+    rest = 1
+    for part in _aurifeuillian_parts(b, base, value):
+        if part > 1:
+            sub = factor(part, replace(budget, trial_limit=1))
+            found.extend(sub.primes())
+            rest *= sub.cofactor
+    value = rest
     primes = []
     for p in sorted(set(found)):
         if p in exclude or b % p == 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 
 class IncompatibleCongruencesError(ValueError):
@@ -53,7 +53,9 @@ class Congruence:
 class Budget:
     """Effort bounds for factorization: trial-division limit and rho caps.
 
-    A fixed budget and seed make factor() fully deterministic.
+    rho_rounds also sets the p-1 stage-1 bound, B1 = rho_rounds // 8, so
+    that stage costs under a tenth of one failed rho restart.  A fixed
+    budget and seed make factor() fully deterministic.
     """
 
     trial_limit: int = 1_000_000
@@ -176,8 +178,13 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 def is_probable_prime(n: int) -> bool:
     """Deterministic below 3.3e24 (fixed strong-pseudoprime battery); above
-    that, a base-2 strong test plus a strong Lucas test (no counterexample
-    to the combination is known)."""
+    that, a base-2 strong test plus a strong Lucas test (BPSW: no
+    counterexample to the combination is known).
+
+    A base-3 strong test runs first above the bound.  Every prime passes
+    it, so BPSW is not weakened; it rejects, with one pow, the composite
+    factors of Phi_b(2), which are all base-2 strong probable primes and
+    would otherwise reach the slow Lucas chain."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -187,7 +194,7 @@ def is_probable_prime(n: int) -> bool:
             return False
     if n < _SPRP_BOUND:
         return all(_strong_probable_prime(n, b) for b in _SPRP_BASES)
-    if not _strong_probable_prime(n, 2):
+    if not (_strong_probable_prime(n, 3) and _strong_probable_prime(n, 2)):
         return False
     if _is_square(n):
         return False
@@ -224,6 +231,30 @@ def _trial_division(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
         base += 30
         if base > limit or (n > 1 and base * base > n):
             return factors, n
+
+
+@cache
+def _pm1_exponent(bound: int) -> int:
+    """The product of q**floor(log_q bound) over the primes q <= bound."""
+    sieve = bytearray([1]) * (bound + 1)
+    e = 1
+    for q in range(2, bound + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
+            qk = q
+            while qk * q <= bound:
+                qk *= q
+            e *= qk
+    return e
+
+
+def _pm1(n: int, bound: int) -> int | None:
+    """Pollard p-1 stage 1 from base 3: a proper divisor of composite n,
+    found when some prime p | n has bound-smooth p - 1, else None."""
+    if bound < 2:
+        return None
+    g = math.gcd(pow(3, _pm1_exponent(bound), n) - 1, n)
+    return g if 1 < g < n else None
 
 
 def _brent_rho(n: int, rounds: int, restarts: int, seed: int) -> int | None:
@@ -270,7 +301,9 @@ def _brent_rho(n: int, rounds: int, restarts: int, seed: int) -> int | None:
 
 
 def factor(n: int, budget: Budget = DEFAULT_BUDGET) -> FactorizationResult:
-    """Effort-bounded factorization: trial division, then Brent's rho.
+    """Effort-bounded factorization: trial division, then for each value
+    that fails is_probable_prime a Pollard p-1 stage 1 (bound
+    budget.rho_rounds // 8, base 3) and Brent's rho.
 
     Never raises on hard inputs; whatever remains unfactored is reported as
     a composite cofactor with complete=False.
@@ -288,7 +321,9 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET) -> FactorizationResult:
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _brent_rho(m, budget.rho_rounds, budget.rho_restarts, budget.seed)
+        d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(
+            m, budget.rho_rounds, budget.rho_restarts, budget.seed
+        )
         if d is None:
             cofactor *= m
             continue

@@ -96,8 +96,8 @@ def test_root_within_one_chunk_is_scanned_not_split(monkeypatch):
 
 
 def test_unfactorable_modulus_is_refused_by_name(monkeypatch):
-    # a starved factoring leaves the semiprime (2^61-1)(2^64-59) whole, as
-    # the default budget does after seconds; alone it has no prime to split
+    # a starved factoring leaves the semiprime (2^61-1)(2^64-59) whole (the
+    # default budget's p-1 stage splits it); alone it has no prime to split
     # on, and beside (1 mod 2) every split would be by 2
     n = (2**61 - 1) * (2**64 - 59)
     starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)

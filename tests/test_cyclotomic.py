@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from coversieve import cyclotomic, modarith
@@ -208,6 +210,65 @@ def test_starved_cofactor_is_primality_tested_once(monkeypatch):
     s = primes_of_order(432, 2, STARVED)
     assert s.unfactored_cofactor == STARVED_432_COFACTOR
     assert len(calls) == 1
+
+
+def test_composite_filter_skips_the_lucas_test(monkeypatch):
+    """Every factor of Phi_432(2) is 1 (mod 432), so its composite cofactor
+    is a base-2 strong probable prime; the base-3 test rejects it first."""
+    assert modarith._strong_probable_prime(STARVED_432_COFACTOR, 2)
+    lucas = []
+    monkeypatch.setattr(modarith, "_strong_lucas_probable_prime", lucas.append)
+    assert not modarith.is_probable_prime(STARVED_432_COFACTOR)
+    assert lucas == []
+
+
+def test_aurifeuillian_split():
+    for b in range(4, 4001, 8):
+        m = b // 4
+        h = (m + 1) // 2
+        lo, hi = 2**m - 2**h + 1, 2**m + 2**h + 1
+        value = cyclotomic_value(b, 2)
+        g = math.gcd(value, lo)
+        assert math.gcd(lo, hi) == 1, b
+        assert value == g * math.gcd(value, hi), b
+        assert cyclotomic._aurifeuillian_parts(b, 2, value) == (g, value // g)
+
+
+def strong_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                    41, 43, 47, 53, 59, 61, 67, 71)):
+    """Independent Miller-Rabin over fixed bases, for odd n > 71."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("b", (175, 220, 260, 540, 1260, 1584, 3276))
+def test_cyclo_budget_completes_with_split_and_pm1(b):
+    """Left incomplete under the cyclo budget by trial division and rho
+    alone; the primes are checked here without factor()."""
+    s = primes_of_order(b, 2, CYCLO_BUDGET)
+    assert s.complete and s.unfactored_cofactor == 1
+    prime_divisors = [r for r in range(2, b + 1) if b % r == 0
+                      and all(r % t for t in range(2, r))]
+    rest = cyclotomic_value(b, 2)
+    for p in s.primes:
+        assert p % b == 1 and strong_probable_prime(p)
+        assert pow(2, b, p) == 1
+        assert all(pow(2, b // r, p) != 1 for r in prime_divisors)
+        while rest % p == 0:
+            rest //= p
+    assert b % rest == 0  # at most the largest prime of b is left
 
 
 def test_exclusion_file_errors(tmp_path):

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coversieve import modarith
 from coversieve.modarith import (
     Budget,
     Congruence,
+    FactorizationResult,
     IncompatibleCongruencesError,
     IncompleteFactorizationError,
     crt_combine,
@@ -83,6 +85,21 @@ def test_factor_budget_exhaustion_reports_cofactor():
     assert f.cofactor == p * q
     assert not is_probable_prime(f.cofactor)
     assert f.value() == 4 * p * q
+
+
+def test_default_budget_factors_the_semiprime_modulus():
+    # 2^61 - 2 is 1321-smooth, so the p-1 stage splits what rho does not
+    p, q = 2**61 - 1, 2**64 - 59
+    assert factor(p * q) == FactorizationResult(((p, 1), (q, 1)))
+
+
+def test_pm1_stage_one():
+    # 2^61 - 2 is 1321-smooth; 2^64 - 60 and 10^29 + 318 have prime factors
+    # 5594472617641 and 3557546769822241483571
+    p, q, r = 2**61 - 1, 2**64 - 59, 10**29 + 319
+    assert modarith._pm1(p * q, 2000) == p
+    assert modarith._pm1(q * r, 2000) is None
+    assert modarith._pm1(p * q, 1) is None
 
 
 @given(st.integers(2, 10**5))
