@@ -6,12 +6,16 @@ itself uses, walks a residue tree (after Nielsen, J. Number Theory 129,
 2009) and handles any size, the 447- and 459-class systems included.
 Both must always agree.
 
-Every node of the tree, the root included, follows one rule: a node that
-holds a modulus-1 class is covered, a node that fits one _CHUNK, or
-whose scan costs fewer work units than its split, is scanned, and any
-other node splits: the root into the slices mod gcd(w, period), every
-later node on the prime dividing the most of its moduli, which are
-factored only when a node longer than one _CHUNK needs their primes.
+A root longer than one _CHUNK first scans its first _TILE members: a gap
+there is the least witness, found before any modulus is factored or any
+node split, as is that of every failing one-class-dropped mutant of the
+embedded coverings.  Past that prefix every node, the root included,
+follows one rule: a node that holds a modulus-1 class is covered, a node
+that fits one _CHUNK, or whose scan costs fewer work units than its
+split, is scanned, and any other node splits: the root into the slices
+mod gcd(w, period), every later node on the prime dividing the most of its
+moduli, which are factored only when a node longer than one _CHUNK needs
+their primes.
 Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
 by m, into the children it meets; a child that some class contains whole
 is not built, and a node above the least gap found so far is dropped.
@@ -228,11 +232,15 @@ class _Work:
 def _least_gap(classes: list[tuple[int, int]], w: int | str, work: _Work) -> int | None:
     """Least y >= 0 lying in none of the classes, or None if there is none.
 
-    Every node, the root (all y) included, is covered if it holds a
-    modulus-1 class.  A node longer than one _CHUNK picks its split m: the
-    root gcd(w, period) (w="auto" is resolved only then), every later node,
-    or the root when that gcd is 1, the prime dividing the most of its
-    moduli.  It is scanned if it fits one _CHUNK or its scan costs fewer
+    A root longer than one _CHUNK first scans its first _TILE members, one
+    work unit: a gap there is the least one, returned before w is resolved,
+    any modulus factored or any child built.
+
+    Past that prefix every node, the root (all y) included, is covered if
+    it holds a modulus-1 class.  A node longer than one _CHUNK picks its
+    split m: the root gcd(w, period) (w="auto" is resolved only then), every
+    later node, or the root when that gcd is 1, the prime dividing the most
+    of its moduli.  It is scanned if it fits one _CHUNK or its scan costs fewer
     units than m children (a chunk is 16), so no split is dearer than the
     scan it replaces; else it splits, charged before any child is built.  Children
     are built one at a time from iterators on an explicit stack, so neither
@@ -258,6 +266,11 @@ def _least_gap(classes: list[tuple[int, int]], w: int | str, work: _Work) -> int
             continue
         period = math.lcm(*moduli)
         if period > _CHUNK:
+            if step == 1:  # the root, whose prefix is scanned first
+                work.charge(residues=_TILE)
+                gap = _first_uncovered(classes, _TILE)
+                if gap is not None:
+                    return gap
             if w == "auto":
                 w = _auto_w(work)
             m, w = math.gcd(w, period), 1  # only the first split is by w

@@ -76,13 +76,15 @@ def test_verify_refuses_too_many_slices(capsys, datadir):
 
 
 def test_verify_deep_residue_tree(capsys, tmp_path):
-    # the slice 0 (mod 8) of 0 (mod 2^3000) splits about 3000 levels deep
+    # 2^i (mod 2^(i+1)), i < 16, hold every y below 2^16 but 0, so the
+    # root's prefix scan finds no gap; the slice 0 (mod 8) of 0 (mod 2^3000)
+    # splits about 3000 levels deep
     f = tmp_path / "deep.cov"
-    f.write_text(f"0 {2**3000}\n")
+    f.write_text("".join(f"{1 << i} {2 << i}\n" for i in range(16)) + f"0 {2**3000}\n")
     code = main(["verify", str(f), "--format", "kv"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
-    assert kv(out)["w"] == "120" and kv(out)["witness"] == "1"
+    assert kv(out)["w"] == "120" and kv(out)["witness"] == str(1 << 16)
 
 
 def test_verify_refuses_work_beyond_the_bound(capsys, datadir, monkeypatch):
@@ -103,6 +105,18 @@ def test_verify_refuses_a_modulus_it_cannot_factor(capsys, tmp_path, monkeypatch
     assert main(["verify", str(f)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: cannot factor modulus {n} ")
+
+
+def test_verify_finds_a_small_gap_before_any_split(capsys, tmp_path):
+    # w=auto is 60 * (2^64-59), and the root split by gcd(w, lcm) would ask
+    # for about 3.7e19 children; the root's prefix scan finds 2 first
+    n = (2**61 - 1) * (2**64 - 59)
+    f = tmp_path / "semiprime.cov"
+    f.write_text(f"0 {n}\n1 2\n")
+    code = main(["verify", str(f), "--format", "kv"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert kv(out)["w"] == str(60 * (2**64 - 59)) and kv(out)["witness"] == "2"
 
 
 def test_verify_missing_file(capsys):

@@ -68,9 +68,11 @@ def test_partitioned_examples():
 
 
 def test_partitioned_huge_w_is_reduced_to_the_lcm(monkeypatch):
-    # with one chunk of 4 residues the root, period 9, splits by gcd(w, 9);
-    # a loop over range(w) would never return
+    # with one chunk of 4 residues the root, period 9, splits by gcd(w, 9)
+    # once a tile of 8 residues, its prefix scan, holds no gap; a loop over
+    # range(w) would never return
     monkeypatch.setattr(covering, "_CHUNK", 4)
+    monkeypatch.setattr(covering, "_TILE", 8)
     w = 3 * 10**12
     assert verify_partitioned(c0_system(), w=w) == verify_naive(c0_system())
     uncovered = system([(0, 3), (1, 3), (2, 9), (5, 9)])
@@ -79,10 +81,12 @@ def test_partitioned_huge_w_is_reduced_to_the_lcm(monkeypatch):
 
 
 def test_partitioned_empty_slice_witness(monkeypatch):
-    # only odd numbers covered: at w = 2 the even slice meets no class
+    # odd numbers and 0 (mod 4) covered: at w = 4 the slice 2 (mod 4) meets
+    # no class; with a one-residue tile the prefix scan sees only y = 0
     monkeypatch.setattr(covering, "_CHUNK", 1)
-    v = verify_partitioned(system([(1, 2)]), w=2)
-    assert not v.covered and v.witness == 0
+    monkeypatch.setattr(covering, "_TILE", 1)
+    v = verify_partitioned(system([(1, 2), (0, 4)]), w=4)
+    assert not v.covered and v.witness == 2
 
 
 def test_root_within_one_chunk_is_scanned_not_split(monkeypatch):
@@ -97,15 +101,22 @@ def test_root_within_one_chunk_is_scanned_not_split(monkeypatch):
 
 def test_unfactorable_modulus_is_refused_by_name(monkeypatch):
     # a starved factoring leaves the semiprime (2^61-1)(2^64-59) whole (the
-    # default budget's p-1 stage splits it); alone it has no prime to split
-    # on, and beside (1 mod 2) every split would be by 2
+    # default budget's p-1 stage splits it).  The root's prefix scan finds
+    # the gaps of (0 mod n), alone and beside (1 mod 2), without factoring;
+    # beside (0 mod 2) and (1 mod 2) it finds none, and the tree, whose every
+    # split would be by 2, still needs the primes of every modulus
     n = (2**61 - 1) * (2**64 - 59)
+    def no_factor(b):
+        raise AssertionError(f"factored {b}")
+    monkeypatch.setattr(covering, "factor", no_factor)
+    for pairs, gap in (([(0, n)], 1), ([(0, n), (1, 2)], 2)):
+        for w in ("auto", 1):
+            assert verify_partitioned(system(pairs), w=w) == Verdict(False, gap)
     starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
     monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
-    for s in (system([(0, n)]), system([(0, n), (1, 2)])):
-        for w in ("auto", 1):
-            with pytest.raises(CapacityError, match=f"cannot factor modulus {n} "):
-                verify_partitioned(s, w=w)
+    for w in ("auto", 1):
+        with pytest.raises(CapacityError, match=f"cannot factor modulus {n} "):
+            verify_partitioned(system([(0, 2), (1, 2), (0, n)]), w=w)
 
 
 def test_auto_w_rule():
@@ -172,33 +183,40 @@ def test_work_bound(monkeypatch):
     monkeypatch.setattr(covering, "WORK_CAP", 780)
     with pytest.raises(CapacityError, match="more than 780 work units"):
         verify_partitioned(s)
-    # a split is charged for its p children before any child is built:
-    # the prime 1048583 > 2^20 alone asks for more children than the bound,
-    # and scanning the period 1048583 * 1048601 would cost more still
+    # a split is charged for its p children before any child is built: past
+    # the prefix, at w=1 the node 0 (mod 2^16) holds (0 mod 1048583 * 1048601),
+    # whose prime 1048583 > 2^20 alone asks for more children than the
+    # bound, and whose scan would cost more still; the one scan is the prefix
     monkeypatch.undo()
-    children = covering._children
+    children, first_uncovered = covering._children, covering._first_uncovered
     def spy(classes, u, w, m):
         assert m != 1048583, "the split by 1048583 was built"
         return children(classes, u, w, m)
+    scans = []
+    def spy_scan(classes, count):
+        scans.append(count)
+        return first_uncovered(classes, count)
     monkeypatch.setattr(covering, "_children", spy)
-    monkeypatch.setattr(covering, "_first_uncovered", None)
+    monkeypatch.setattr(covering, "_first_uncovered", spy_scan)
     with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
-        verify_partitioned(system([(0, 1048583 * 1048601)]), w=1)
+        verify_partitioned(_beyond_the_prefix([(0, 1048583 * 1048601)]), w=1)
+    assert scans == [covering._TILE]
 
 
 def test_root_split_beyond_the_bound_is_refused(monkeypatch):
     # the root split by gcd(w, lcm) is charged before any child is built
-    # or scanned: the whole lcm, and 7800 children under a bound of 780
+    # or scanned: the whole lcm, and 7800 children under a bound of 780;
+    # the one scan of each call is the root's prefix, which finds no gap
     s = appendix_data().cov_sier.system
     calls = []
     monkeypatch.setattr(covering, "_children", lambda *args: calls.append(args))
-    monkeypatch.setattr(covering, "_first_uncovered", lambda *args: calls.append(args))
+    monkeypatch.setattr(covering, "_first_uncovered", lambda classes, count: calls.append(count))
     with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
         verify_partitioned(s, w=10 * APPENDIX_S_LCM)
     monkeypatch.setattr(covering, "WORK_CAP", 780)
     with pytest.raises(CapacityError, match="more than 780 work units"):
         verify_partitioned(s, w=7800)
-    assert calls == []
+    assert calls == [covering._TILE] * 2
 
 
 def test_work_bound_counts_class_entries(monkeypatch):
@@ -226,6 +244,15 @@ def _random_system(rng):
     pool = [d for d in range(1, 361) if m % d == 0]
     k = rng.randint(1, 12)
     return system([(rng.randrange(b), b) for b in (rng.choice(pool) for _ in range(k))])
+
+
+def _beyond_the_prefix(pairs):
+    # the classes 2^i (mod 2^(i+1)), i < 16, hold every y below 2^16 but 0,
+    # and the pairs, scaled by 2^16, sit in the node y = 0 (mod 2^16): a
+    # system whose gaps are 2^16 times the pairs' gaps, none in the root's
+    # prefix scan of 2^16 members, once some pair holds 0
+    lows = [(1 << i, 2 << i) for i in range(16)]
+    return system(lows + [(a << 16, b << 16) for a, b in pairs])
 
 
 def _one_gap_system(x):
@@ -290,12 +317,14 @@ def test_partitioned_skips_slices_a_class_contains(monkeypatch):
 
 
 def test_tree_prunes_children_a_class_contains(monkeypatch):
-    # split on 2 at w=1: (0 mod 2) contains child 0 whole; child 1, the
+    # the root's prefix scan of a tile of 8 residues finds no gap below 9;
+    # then split on 2 at w=1: (0 mod 2) contains child 0 whole; child 1, the
     # odd y, is split on 3, and (1 mod 6) and (5 mod 6) contain two of its
     # children, so only y ≡ 3 (mod 6) is scanned, over 192/6 residues
     s = system([(0, 2), (1, 6), (5, 6), (3, 192)])
     assert verify_naive(s) == Verdict(False, 9)
     monkeypatch.setattr(covering, "_CHUNK", 64)
+    monkeypatch.setattr(covering, "_TILE", 8)
     scanned = []
     first_uncovered = covering._first_uncovered
     def spy(classes, count):
@@ -303,7 +332,7 @@ def test_tree_prunes_children_a_class_contains(monkeypatch):
         return first_uncovered(classes, count)
     monkeypatch.setattr(covering, "_first_uncovered", spy)
     assert verify_partitioned(s, w=1) == Verdict(False, 9)
-    assert scanned == [32]
+    assert scanned == [8, 32]
 
 
 def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
@@ -324,10 +353,12 @@ def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
 
 
 def test_uncovered_system_builds_no_child_past_the_least_gap(monkeypatch):
-    # each scan is of the child yielded just before it, so the spies can
+    # each scan but the root's prefix, which finds no gap in a tile of 4
+    # residues, is of the child yielded just before it, so the spies can
     # follow the least gap found so far: a level yields no child after
     # its first one that is not below that gap
     monkeypatch.setattr(covering, "_CHUNK", 8)
+    monkeypatch.setattr(covering, "_TILE", 4)
     s = system([(0, 2), (0, 3), (0, 5), (1, 2310)])
     events = []
     children, first_uncovered = covering._children, covering._first_uncovered
@@ -357,10 +388,10 @@ def test_uncovered_system_builds_no_child_past_the_least_gap(monkeypatch):
 
 
 def test_deep_tree_needs_no_recursion():
-    # 0 (mod 2^3000) splits about three thousand times on 2, child 0 first,
-    # one level at a time
-    deep = system([(0, 2**3000)])
-    assert verify_partitioned(deep) == verify_partitioned(deep, w=1) == Verdict(False, 1)
+    # past the prefix, 0 (mod 2^3000) splits about three thousand times on
+    # 2, child 0 first, one level at a time
+    deep = _beyond_the_prefix([(0, 2**2984)])
+    assert verify_partitioned(deep) == verify_partitioned(deep, w=1) == Verdict(False, 1 << 16)
 
 
 def test_partitioned_in_several_slice_windows(monkeypatch):
@@ -424,8 +455,11 @@ def test_equivalence_panel_with_targets():
 
 def test_equivalence_panels_through_the_residue_tree(monkeypatch):
     # with one chunk of 64 residues, most slices of the panels' systems are
-    # split by the residue tree before their leaves are scanned
+    # split by the residue tree before their leaves are scanned; with a
+    # one-residue tile the root's prefix scan sees only y = 0, so uncovered
+    # systems reach the tree too
     monkeypatch.setattr(covering, "_CHUNK", 64)
+    monkeypatch.setattr(covering, "_TILE", 1)
     test_equivalence_panel_small()
     test_equivalence_panel_with_targets()
 
@@ -474,6 +508,52 @@ def test_single_gap_past_the_first_chunk():
     classes = [(c.a, c.b) for c in s.classes]
     assert covering._first_uncovered(classes, x) is None
     assert covering._first_uncovered(classes, x + 1) == x
+
+
+@pytest.mark.parametrize("x", [covering._TILE - 1, covering._TILE, covering._TILE + 1, 1_600_001])
+def test_root_prefix_and_its_boundary(monkeypatch, x):
+    # the root's first _TILE members are scanned before anything else: a
+    # gap below _TILE is found there and no child is built; a gap at _TILE
+    # or past it is found by the tree
+    s = _one_gap_system(x)
+    assert verify_naive(s) == Verdict(False, x)
+    splits = []
+    children = covering._children
+    def spy(classes, u, w, m):
+        splits.append(m)
+        return children(classes, u, w, m)
+    monkeypatch.setattr(covering, "_children", spy)
+    for w in ("auto", 1, 30):
+        assert verify_partitioned(s, w=w) == Verdict(False, x)
+    assert (splits == []) == (x < covering._TILE)
+
+
+@pytest.mark.parametrize("name", ["sierpinski", "riesel"])
+def test_mutant_gap_in_the_prefix_needs_no_factoring_and_no_split(monkeypatch, name):
+    # the first class whose mutant the literal scan finds a gap for
+    classes = [(c.a, c.b) for c in getattr(appendix_data(), "cov_" + name[:4]).system.classes]
+    gaps = ((i, _dropped_class_gap(classes, i)) for i in range(len(classes)))
+    i, x = next((i, x) for i, x in gaps if x is not None)
+    assert x < covering._TILE
+    def refuse(*args):
+        raise AssertionError("a modulus was factored or a node split")
+    monkeypatch.setattr(covering, "factor", refuse)
+    monkeypatch.setattr(covering, "_children", refuse)
+    mutant = system(classes[:i] + classes[i + 1:])
+    for w in ("auto", 1, 30):
+        assert verify_partitioned(mutant, w=w) == Verdict(False, x)
+
+
+def test_riesel_mutants_that_stay_coverings():
+    # the six one-class-dropped mutants of the two coverings that are still
+    # coverings (the other 900 fail): each of these classes of the
+    # 459-class covering is redundant on its own
+    classes = list(appendix_data().cov_ries.system.classes)
+    redundant = [(648, 1080), (56, 280), (196, 1120), (476, 1120), (756, 1120), (1036, 1120)]
+    for a, b in redundant:
+        kept = [c for c in classes if c != ResidueClass(a, b)]
+        assert len(kept) == len(classes) - 1
+        assert verify_partitioned(CoveringSystem(tuple(kept))) == Verdict(True)
 
 
 def test_permutation_invariance():
