@@ -77,9 +77,7 @@ def cmd_verify(args) -> int:
     if args.method in ("naive", "both"):
         verdicts["naive"] = verify_naive(system)
     if args.method in ("partitioned", "both"):
-        if w == "auto":
-            w = auto_w(system)
-        pairs.append(("w", w))
+        pairs.append(("w", auto_w(system) if w == "auto" else w))
         verdicts["partitioned"] = verify_partitioned(system, w=w)
     if args.method == "both" and verdicts["naive"] != verdicts["partitioned"]:
         pairs.append(("error", "naive and partitioned verdicts disagree"))

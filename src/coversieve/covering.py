@@ -12,10 +12,12 @@ node split, as is that of every failing one-class-dropped mutant of the
 embedded coverings.  Past that prefix every node, the root included,
 follows one rule: a node that holds a modulus-1 class is covered, a node
 that fits one _CHUNK, or whose scan costs fewer work units than its
-split, is scanned, and any other node splits: the root into the slices
-mod gcd(w, period), every later node on the prime dividing the most of its
-moduli, which are factored only when a node longer than one _CHUNK needs
-their primes.
+split, is scanned, and any other node splits on the prime q whose classes
+cover the most of it: the largest sum of period/b over its classes with
+q | b, the classes that the split sends to one child each.  The moduli are
+factored only when a node longer than one _CHUNK needs their primes.  Only
+an integer w changes the root: it splits into the slices mod gcd(w, period)
+when that gcd is above 1; w="auto" is the tree alone, as w=1 is.
 Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
 by m, into the children it meets; a child that some class contains whole
 is not built, and a node above the least gap found so far is dropped.
@@ -33,6 +35,7 @@ beyond them raises CapacityError.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .modarith import CapacityError, factor, lcm_all
@@ -185,14 +188,11 @@ def verify_naive(system: CoveringSystem) -> Verdict:
 
 
 def auto_w(system: CoveringSystem) -> int:
-    """The verification width 4*3*5*q, with q the largest prime dividing the
-    lcm of the moduli (taken from the factored moduli, never by factoring
-    the lcm itself).  Target-restricted systems use their reduced moduli."""
-    return _auto_w(_Work(_offset_form(system)[0]))
-
-
-def _auto_w(work: _Work) -> int:
-    return 4 * 3 * 5 * max(work.primes(), default=1)
+    """The paper's verification width 4*3*5*q, with q the largest prime
+    dividing the lcm of the moduli (taken from the factored moduli, never by
+    factoring the lcm itself).  Target-restricted systems use their reduced
+    moduli.  It is printed, not split by: w="auto" never calls it."""
+    return 4 * 3 * 5 * max(_Work(_offset_form(system)[0]).primes(), default=1)
 
 
 class _Work:
@@ -229,25 +229,26 @@ class _Work:
         return self._primes
 
 
-def _least_gap(classes: list[tuple[int, int]], w: int | str, work: _Work) -> int | None:
+def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | None:
     """Least y >= 0 lying in none of the classes, or None if there is none.
 
     A root longer than one _CHUNK first scans its first _TILE members, one
-    work unit: a gap there is the least one, returned before w is resolved,
-    any modulus factored or any child built.
+    work unit: a gap there is the least one, returned before any modulus
+    is factored or any child built.
 
     Past that prefix every node, the root (all y) included, is covered if
     it holds a modulus-1 class.  A node longer than one _CHUNK picks its
-    split m: the root gcd(w, period) (w="auto" is resolved only then), every
-    later node, or the root when that gcd is 1, the prime dividing the most
-    of its moduli.  It is scanned if it fits one _CHUNK or its scan costs fewer
-    units than m children (a chunk is 16), so no split is dearer than the
-    scan it replaces; else it splits, charged before any child is built.  Children
-    are built one at a time from iterators on an explicit stack, so neither
-    a deep tree nor a large split costs recursion, and memory holds one
-    window of children per level.  A child's least member u grows with s, so a level
-    is dropped at the first child whose u is not below the least gap found
-    so far.
+    split m: the root gcd(w, period), every later node, or the root when
+    that gcd is 1, the least prime q with the largest sum of period/b over
+    the node's classes with q | b, taken in integers once per distinct
+    modulus times its class count.  It is scanned if it fits one _CHUNK or
+    its scan costs fewer units than m children (a chunk is 16), so no split
+    is dearer than the scan it replaces; else it splits, charged before any
+    child is built.  Children are built one at a time from iterators on an
+    explicit stack, so neither a deep tree nor a large split costs
+    recursion, and memory holds one window of children per level.  A
+    child's least member u grows with s, so a level is dropped at the first
+    child whose u is not below the least gap found so far.
     """
     best = math.inf
     stack = [iter([(classes, 0, 1)])]
@@ -271,11 +272,11 @@ def _least_gap(classes: list[tuple[int, int]], w: int | str, work: _Work) -> int
                 gap = _first_uncovered(classes, _TILE)
                 if gap is not None:
                     return gap
-            if w == "auto":
-                w = _auto_w(work)
             m, w = math.gcd(w, period), 1  # only the first split is by w
-            if m == 1:
-                m = max(work.primes(), key=lambda q: sum(b % q == 0 for b in moduli))
+            if m == 1:  # the prime whose classes cover the most of the node
+                count = Counter(b for _, b in classes).items()
+                m = max(work.primes(),
+                        key=lambda q: sum(period // b * k for b, k in count if b % q == 0))
         if period <= _CHUNK or period < m * (_CHUNK >> 4):  # a chunk is 16 units
             work.charge(residues=period)
             gap = _first_uncovered(classes, period)
@@ -323,8 +324,9 @@ def _children(classes: list[tuple[int, int]], u: int, w: int, m: int):
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:
     """Partitioned verification: the least uncovered member of the target
-    by the residue tree (_least_gap), whose root, if it splits, splits
-    first into the slices u (mod gcd(w, lcm)); slices u and
+    by the residue tree (_least_gap).  At w="auto", as at w=1, every split
+    is on a prime; an integer w makes the root, if it splits, split first
+    into the slices u (mod gcd(w, lcm)), as in the paper.  Slices u and
     u + gcd(w, lcm) meet the same classes, so any w gives the same verdict
     and least witness as verify_naive.  More than WORK_CAP units of work,
     the slices included, is refused with CapacityError.
@@ -334,7 +336,7 @@ def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict
     if not isinstance(w, str) and w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     classes, M, t = _offset_form(system)
-    gap = _least_gap(classes, w, _Work(classes))
+    gap = _least_gap(classes, 1 if w == "auto" else w, _Work(classes))
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)

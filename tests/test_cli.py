@@ -108,8 +108,8 @@ def test_verify_refuses_a_modulus_it_cannot_factor(capsys, tmp_path, monkeypatch
 
 
 def test_verify_finds_a_small_gap_before_any_split(capsys, tmp_path):
-    # w=auto is 60 * (2^64-59), and the root split by gcd(w, lcm) would ask
-    # for about 3.7e19 children; the root's prefix scan finds 2 first
+    # the printed w is auto_w, 60 * (2^64-59); the root's prefix scan finds
+    # 2 before any modulus is split on
     n = (2**61 - 1) * (2**64 - 59)
     f = tmp_path / "semiprime.cov"
     f.write_text(f"0 {n}\n1 2\n")

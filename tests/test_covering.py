@@ -179,10 +179,11 @@ def test_w7_verifies_sierpinski():
 
 def test_work_bound(monkeypatch):
     s = appendix_data().cov_sier.system
-    # 780 root children fit, the scans on top of them do not
+    # at the paper's width 780 root children fit, the scans on top of them
+    # do not
     monkeypatch.setattr(covering, "WORK_CAP", 780)
     with pytest.raises(CapacityError, match="more than 780 work units"):
-        verify_partitioned(s)
+        verify_partitioned(s, w=780)
     # a split is charged for its p children before any child is built: past
     # the prefix, at w=1 the node 0 (mod 2^16) holds (0 mod 1048583 * 1048601),
     # whose prime 1048583 > 2^20 alone asks for more children than the
@@ -220,11 +221,14 @@ def test_root_split_beyond_the_bound_is_refused(monkeypatch):
 
 
 def test_work_bound_counts_class_entries(monkeypatch):
-    # 640 classes mod 7 sit in the root and in both children its split on 3
-    # keeps, so 1926 class entries cost 30 units, where the nodes and the
-    # scans cost about 4: a node count alone would pass a bound of 20
+    # 640 classes mod 7^4 cover about a quarter of the root, (0 mod 2),
+    # (1 mod 4), (3 mod 8) and (7 mod 8) all of it, so each node splits on
+    # 2: the root, then y = 1 (mod 2), then y = 3 (mod 4), whose children
+    # are all whole.  The 640 classes sit in all three nodes, so 1929 class
+    # entries cost 30 units, where the six children and the prefix scan
+    # cost 7: a node count alone would pass a bound of 20
     monkeypatch.setattr(covering, "_CHUNK", 64)
-    s = system([(0, 2), (0, 3), (1, 9)] + [(a % 7, 7) for a in range(640)])
+    s = system([(0, 2), (1, 4), (3, 8), (7, 8)] + [(a, 7**4) for a in range(640)])
     spent = []
     charge = covering._Work.charge
     def spy(self, nodes=0, entries=0, residues=0):
@@ -232,7 +236,7 @@ def test_work_bound_counts_class_entries(monkeypatch):
         charge(self, nodes, entries, residues)
     monkeypatch.setattr(covering._Work, "charge", spy)
     assert verify_partitioned(s, w=1) == Verdict(True)
-    assert sum(spent) < 5 << 16
+    assert sum(spent) == 7 << 16
     monkeypatch.setattr(covering, "WORK_CAP", 20)
     with pytest.raises(CapacityError, match="more than 20 work units"):
         verify_partitioned(s, w=1)
@@ -283,11 +287,20 @@ def test_library_verdicts_beyond_one_chunk_match_naive():
     assert redundant_classes(s) == _redundant_naive(s) == [ResidueClass(x, 3326400)]
 
 
-def test_library_scans_a_root_whose_split_costs_more():
-    # lcms 4000012 and 3000009 lie below NAIVE_CAP, but the root's split,
-    # by gcd(60q, lcm) = lcm at "auto" or on q = 1000003 at w=1, would ask
-    # for more children than WORK_CAP: the root is scanned instead
+def test_library_scans_a_root_whose_split_costs_more(monkeypatch):
+    # lcms 4000012 and 3000009 lie below NAIVE_CAP.  With a one-residue
+    # tile the prefix scan sees only y = 0, which both systems cover; the
+    # second root, whose classes mod q = 1000003 cover the most of it, would
+    # split into q children, more than its scan of 3q residues costs, so it
+    # is scanned instead
     q = 1000003
+    monkeypatch.setattr(covering, "_TILE", 1)
+    scans = []
+    first_uncovered = covering._first_uncovered
+    def spy(classes, count):
+        scans.append(count)
+        return first_uncovered(classes, count)
+    monkeypatch.setattr(covering, "_first_uncovered", spy)
     for pairs in ([(0, 2), (1, 4), (3, 4 * q)], [(0, q), (1, q), (2, 3 * q)]):
         s = system(pairs)
         want = verify_naive(s)
@@ -296,6 +309,7 @@ def test_library_scans_a_root_whose_split_costs_more():
         assert verify_partitioned(s, w=1) == want
         closed = system(pairs + [(0, 2), (1, 2)])
         assert redundant_classes(closed) == _redundant_naive(closed) != []
+    assert 3 * q in scans
 
 
 def test_equivalence_panel_small():
@@ -464,6 +478,70 @@ def test_equivalence_panels_through_the_residue_tree(monkeypatch):
     test_equivalence_panel_with_targets()
 
 
+def test_random_systems_split_on_the_prime_covering_the_most(monkeypatch):
+    # with one chunk of 8 residues and a one-residue tile, the random
+    # systems reach the residue tree's splits.  Every width gives the
+    # naive verdict, and at w="auto" each split is on the least prime q
+    # whose classes cover the most of the node: the largest sum of
+    # period/b over its classes with q | b
+    monkeypatch.setattr(covering, "_CHUNK", 8)
+    monkeypatch.setattr(covering, "_TILE", 1)
+    splits = []
+    children = covering._children
+    def spy(classes, u, w, m):
+        splits.append((classes, m))
+        return children(classes, u, w, m)
+    monkeypatch.setattr(covering, "_children", spy)
+    rng = random.Random(4817)
+    checked = 0
+    for _ in range(150):
+        s = _random_system(rng)
+        vn = verify_naive(s)
+        for w in (1, 7, 30):
+            assert verify_partitioned(s, w=w) == vn
+        splits.clear()
+        assert verify_partitioned(s) == vn
+        for classes, m in splits:
+            period = math.lcm(*(b for _, b in classes))
+            primes = sorted({q for _, b in classes for q, _ in factor(b).factors})
+            share = [sum(period // b for _, b in classes if b % q == 0) for q in primes]
+            assert m == primes[share.index(max(share))]
+        checked += len(splits)
+    assert checked > 200
+
+
+def _lifted_classes():
+    # each of three classes (a, b) of the Sierpinski covering becomes its q
+    # lifts (a + b*i, q*b): the same integers, over an lcm 17*19*23 = 7429
+    # times the Sierpinski one
+    classes = [(c.a, c.b) for c in appendix_data().cov_sier.system.classes]
+    for q in (17, 19, 23):
+        a, b = classes.pop(0)
+        classes += [(a + b * i, q * b) for i in range(q)]
+    return classes
+
+
+def test_auto_is_the_tree_alone(monkeypatch):
+    # w="auto" splits the root on a prime as w=1 does, so it spends the same
+    # work and never calls auto_w; on the lift that is a few hundred units,
+    # where a first split by the paper's width 4*3*5*23 took about 49,000
+    spent = []
+    least_gap = covering._least_gap
+    def spy(classes, w, work):
+        gap = least_gap(classes, w, work)
+        spent.append(work.spent)
+        return gap
+    def refuse(system):
+        raise AssertionError("auto_w was called")
+    monkeypatch.setattr(covering, "_least_gap", spy)
+    monkeypatch.setattr(covering, "auto_w", refuse)
+    data = appendix_data()
+    for s in (data.cov_sier.system, data.cov_ries.system, system(_lifted_classes())):
+        assert verify_partitioned(s) == verify_partitioned(s, w=1) == Verdict(True)
+        assert spent[-2] == spent[-1]
+    assert spent[-1] < 1000 << 16
+
+
 def _literal_gap(classes, count):
     residues = {}
     for a, b in classes:
@@ -607,12 +685,7 @@ def test_embedded_mutants_against_literal_scan(name):
 
 
 def test_lifted_covering_beyond_1e15():
-    # each of three classes (a, b) becomes its q lifts (a + b*i, q*b): the
-    # same integers, over an lcm 17*19*23 = 7429 times the Sierpinski one
-    classes = [(c.a, c.b) for c in appendix_data().cov_sier.system.classes]
-    for q in (17, 19, 23):
-        a, b = classes.pop(0)
-        classes += [(a + b * i, q * b) for i in range(q)]
+    classes = _lifted_classes()
     lifted = system(classes)
     assert lcm_of_moduli(lifted) == 7429 * APPENDIX_S_LCM > 10**15
     assert verify_partitioned(lifted) == Verdict(True)
