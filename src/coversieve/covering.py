@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .modarith import CapacityError, factor, lcm_all
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
-WORK_CAP = 10 ** 5  # most work units one verify_partitioned call spends (~2 s)
+WORK_CAP = 10 ** 5  # most work units one verify_partitioned call spends (2-3.5 s)
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
 _SLICES = 1 << 12  # children whose classes are collected at a time
@@ -123,6 +123,8 @@ def _offset_form(system: CoveringSystem) -> tuple[list[tuple[int, int]], int, in
     x = t + M*y.
     """
     t, M = system.target.a, system.target.b
+    if M == 1:
+        return [(c.a, c.b) for c in system.classes], 1, 0
     out = []
     for cls in system.classes:
         g = math.gcd(M, cls.b)
@@ -214,17 +216,26 @@ class _Work:
 
     def primes(self) -> list[int]:
         """The primes dividing some modulus, ascending; a modulus that
-        factor() leaves incomplete raises CapacityError."""
+        factor() leaves incomplete raises CapacityError.  The primes already
+        found are divided out of each modulus first, so factor() sees only
+        what is left above 1."""
         if self._primes is None:
-            primes = set()
+            primes, known = [], 1  # known: the product of primes
             for b in {b for _, b in self.classes if b > 1}:
-                f = factor(b)
+                rest, g = b, math.gcd(b, known)
+                while g > 1:
+                    rest //= g
+                    g = math.gcd(rest, g)
+                if rest == 1:
+                    continue
+                f = factor(rest)
                 if not f.complete:
                     raise CapacityError(
                         f"cannot factor modulus {b} within the factoring budget;"
                         " the residue tree splits only by known primes"
                     )
-                primes.update(f.primes())
+                primes += f.primes()
+                known *= math.prod(f.primes())
             self._primes = sorted(primes)
         return self._primes
 

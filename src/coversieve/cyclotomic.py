@@ -152,7 +152,9 @@ def primes_of_order(
     it goes to factor()'s primality, p-1 and rho stages without trial
     division: for base 2 and b ≡ 4 (mod 8) as the two halves of its
     Aurifeuillian factorization, one factor() call each, and otherwise
-    whole.  unfactored_cofactor is the product of what each call leaves.
+    whole.  Each call is told order=b, so its rho iterates x^lcm(2, b) + c
+    over fewer rounds at the same reach.  unfactored_cofactor is the
+    product of what each call leaves.
     Every surviving prime has its order verified.
     """
     if base not in (2, 10):
@@ -174,7 +176,7 @@ def primes_of_order(
     rest = 1
     for part in _aurifeuillian_parts(b, base, value):
         if part > 1:
-            sub = factor(part, replace(budget, trial_limit=1))
+            sub = factor(part, replace(budget, trial_limit=1), order=b)
             found.extend(sub.primes())
             rest *= sub.cofactor
     value = rest

@@ -53,9 +53,12 @@ class Congruence:
 class Budget:
     """Effort bounds for factorization: trial-division limit and rho caps.
 
-    rho_rounds also sets the p-1 stage-1 bound, B1 = rho_rounds // 8, so
-    that stage costs under a tenth of one failed rho restart.  A fixed
-    budget and seed make factor() fully deterministic.
+    rho_rounds is the reach of one rho restart, in rounds of x^2 + c; a
+    factor() told that every prime of n is 1 (mod order) spends fewer
+    rounds of x^e + c for the same reach.  rho_rounds also sets the p-1
+    stage-1 bound, B1 = rho_rounds // 8, so that stage costs under a tenth
+    of one failed restart on x^2 + c.  A fixed budget and seed make
+    factor() fully deterministic.
     """
 
     trial_limit: int = 1_000_000
@@ -257,8 +260,11 @@ def _pm1(n: int, bound: int) -> int | None:
     return g if 1 < g < n else None
 
 
-def _brent_rho(n: int, rounds: int, restarts: int, seed: int) -> int | None:
-    """One nontrivial factor of composite n, or None within budget."""
+def _brent_rho(n: int, rounds: int, restarts: int, seed: int, e: int) -> int | None:
+    """One nontrivial factor of composite n, or None within budget.
+
+    Brent's cycle search on the map y -> y^e + c (Brent & Pollard, Math.
+    Comp. 36, 1981); e = 2 is the classical x^2 + c."""
     if n % 2 == 0:
         return 2
     # deterministic LCG stream seeded from (seed, n)
@@ -279,13 +285,13 @@ def _brent_rho(n: int, rounds: int, restarts: int, seed: int) -> int | None:
         while g == 1 and count < rounds:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
+                y = (pow(y, e, n) + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    y = (pow(y, e, n) + c) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             count += r
@@ -293,23 +299,34 @@ def _brent_rho(n: int, rounds: int, restarts: int, seed: int) -> int | None:
         if g == n:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                ys = (pow(ys, e, n) + c) % n
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None
 
 
-def factor(n: int, budget: Budget = DEFAULT_BUDGET) -> FactorizationResult:
+def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> FactorizationResult:
     """Effort-bounded factorization: trial division, then for each value
     that fails is_probable_prime a Pollard p-1 stage 1 (bound
     budget.rho_rounds // 8, base 3) and Brent's rho.
+
+    order states a fact about n: every prime factor of n is 1 (mod order).
+    Rho then iterates x -> x^e + c with e = lcm(2, order), which walks a
+    set about e/2 times smaller than x^2 + c does (Brent & Pollard), so
+    ceil(rho_rounds / isqrt(e/2)) rounds reach as far as rho_rounds rounds
+    of x^2 + c.  The promise changes only speed: every split is still
+    checked, and order = 1 is the classical rho.
 
     Never raises on hard inputs; whatever remains unfactored is reported as
     a composite cofactor with complete=False.
     """
     if n < 2:
         raise ValueError(f"factor() requires n >= 2, got {n}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    e = math.lcm(2, order)
+    rounds = -(-budget.rho_rounds // math.isqrt(e // 2))
     factors, rest = _trial_division(n, budget.trial_limit)
     counts = dict(factors)
     pending = [rest] if rest > 1 else []
@@ -322,7 +339,7 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET) -> FactorizationResult:
             counts[m] = counts.get(m, 0) + 1
             continue
         d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(
-            m, budget.rho_rounds, budget.rho_restarts, budget.seed
+            m, rounds, budget.rho_restarts, budget.seed, e
         )
         if d is None:
             cofactor *= m

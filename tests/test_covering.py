@@ -119,6 +119,26 @@ def test_unfactorable_modulus_is_refused_by_name(monkeypatch):
             verify_partitioned(system([(0, 2), (1, 2), (0, n)]), w=w)
 
 
+def test_work_primes_factor_only_what_is_left(monkeypatch):
+    """Each modulus loses the primes already found before factor() sees it,
+    and the primes are those of every modulus factored whole; a modulus
+    whose rest stays unfactored is still refused by its own name."""
+    classes = covering._offset_form(appendix_data().cov_ries.system)[0]
+    seen = []
+    monkeypatch.setattr(covering, "factor", lambda b: seen.append(b) or factor(b))
+    primes = covering._Work(classes).primes()
+    moduli = {b for _, b in classes if b > 1}
+    assert primes == sorted({p for b in moduli for p in factor(b).primes()})
+    assert 1 not in seen and len(seen) < len(moduli)
+    for i, b in enumerate(seen):
+        assert math.gcd(b, math.prod(seen[:i])) == 1
+    n = (2**61 - 1) * (2**64 - 59)
+    starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
+    monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
+    with pytest.raises(CapacityError, match=f"cannot factor modulus {2 * n} "):
+        covering._Work([(0, 2), (1, 4), (0, 2 * n)]).primes()
+
+
 def test_auto_w_rule():
     data = appendix_data()
     assert auto_w(data.cov_sier.system) == 780   # 4 * 3 * 5 * 13

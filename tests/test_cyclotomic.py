@@ -13,6 +13,8 @@ from coversieve.cyclotomic import (
 )
 from coversieve.modarith import Budget, CapacityError, factor, verify_order
 
+from test_modarith import rho_spy
+
 
 def euler_phi(n):
     out, p, rest = 1, 2, n
@@ -253,10 +255,11 @@ def strong_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
     return True
 
 
-@pytest.mark.parametrize("b", (175, 220, 260, 540, 1260, 1584, 3276))
+@pytest.mark.parametrize("b", (175, 220, 260, 540, 1260, 1584, 3276, 240, 720, 1375))
 def test_cyclo_budget_completes_with_split_and_pm1(b):
-    """Left incomplete under the cyclo budget by trial division and rho
-    alone; the primes are checked here without factor()."""
+    """Left incomplete under the cyclo budget by trial division and rho on
+    x^2 + c alone; the split, p-1 and rho on x^lcm(2, b) + c complete them.
+    The primes are checked here without factor()."""
     s = primes_of_order(b, 2, CYCLO_BUDGET)
     assert s.complete and s.unfactored_cofactor == 1
     prime_divisors = [r for r in range(2, b + 1) if b % r == 0
@@ -269,6 +272,16 @@ def test_cyclo_budget_completes_with_split_and_pm1(b):
         while rest % p == 0:
             rest //= p
     assert b % rest == 0  # at most the largest prime of b is left
+
+
+@pytest.mark.parametrize("b", (240, 676, 1375))
+def test_primes_of_order_tells_factor_the_order(b, monkeypatch):
+    """Every rho call, on the Aurifeuillian halves of b = 676 too, runs
+    x^e + c with e = lcm(2, b) for ceil(rho_rounds / isqrt(e/2)) rounds."""
+    calls = rho_spy(monkeypatch)
+    primes_of_order(b, 2, CYCLO_BUDGET)
+    e = math.lcm(2, b)
+    assert calls and set(calls) == {(math.ceil(2000 / math.isqrt(e // 2)), e)}
 
 
 def test_exclusion_file_errors(tmp_path):

@@ -102,6 +102,47 @@ def test_pm1_stage_one():
     assert modarith._pm1(p * q, 1) is None
 
 
+def rho_spy(monkeypatch):
+    """(rounds, e) of every _brent_rho call, which still runs."""
+    calls, real = [], modarith._brent_rho
+
+    def spy(n, rounds, restarts, seed, e):
+        calls.append((rounds, e))
+        return real(n, rounds, restarts, seed, e)
+
+    monkeypatch.setattr(modarith, "_brent_rho", spy)
+    return calls
+
+
+# three primes near 10^6, none 1 (mod 7), each with a prime of p - 1 above
+# the p-1 bound of 250, so only rho splits their product
+RHO_PRIMES = (1000003, 1000033, 1000039)
+RHO_BUDGET = Budget(trial_limit=100, rho_rounds=2000, rho_restarts=2)
+
+
+def test_plain_factor_runs_classical_rho(monkeypatch):
+    calls = rho_spy(monkeypatch)
+    n = math.prod(RHO_PRIMES)
+    f = factor(n, RHO_BUDGET)
+    assert f == FactorizationResult(tuple((p, 1) for p in RHO_PRIMES))
+    assert calls and set(calls) == {(2000, 2)}
+
+
+def test_false_order_promise_still_factors_correctly(monkeypatch):
+    """order=7 is false for these primes: rho runs x^14 + c for
+    ceil(2000 / 2) rounds, and the result is still a true factorization."""
+    assert all(p % 7 != 1 for p in RHO_PRIMES)
+    calls = rho_spy(monkeypatch)
+    n = math.prod(RHO_PRIMES) * 2**3
+    f = factor(n, RHO_BUDGET, order=7)
+    assert calls and set(calls) == {(1000, 14)}
+    assert f.value() == n
+    assert all(is_probable_prime(p) and n % p == 0 for p in f.primes())
+    assert f.cofactor == 1 or not is_probable_prime(f.cofactor)
+    with pytest.raises(ValueError):
+        factor(n, RHO_BUDGET, order=0)
+
+
 @given(st.integers(2, 10**5))
 @settings(max_examples=200)
 def test_factor_random_reassembly(n):
