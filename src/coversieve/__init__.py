@@ -8,7 +8,6 @@ from .covering import (
     auto_w,
     covers_target,
     lcm_of_moduli,
-    redundant_classes,
     satisfying_class,
     verify_naive,
     verify_partitioned,

@@ -360,21 +360,3 @@ def covers_target(classes, target: ResidueClass) -> Verdict:
     enforces this).
     """
     return verify_partitioned(CoveringSystem(tuple(classes), target))
-
-
-def redundant_classes(system: CoveringSystem) -> list[ResidueClass]:
-    """Classes whose removal (greedily, in list order) leaves the system a
-    covering.  The input must itself verify as covered."""
-    if not verify_partitioned(system).covered:
-        raise ValueError("redundant_classes requires a covering system")
-    kept = list(system.classes)
-    dropped = []
-    i = 0
-    while i < len(kept):
-        if len(kept) > 1:
-            trial = CoveringSystem(tuple(kept[:i] + kept[i + 1:]), system.target)
-            if verify_partitioned(trial).covered:
-                dropped.append(kept.pop(i))
-                continue
-        i += 1
-    return dropped

@@ -97,10 +97,27 @@ class FactorizationResult:
         return [p for p, _ in self.factors]
 
 
-# Strong-pseudoprime bases proving primality for all n below _SPRP_BOUND
-# (first 13 primes; Sorenson & Webster determined the bound).
-_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_SPRP_BOUND = 3317044064679887385961981
+# (base, psi_k): the k-th prime and the least odd composite that is a strong
+# pseudoprime to all of the first k primes (OEIS A014233): Jaeschke, Math.
+# Comp. 61, 1993, for k <= 8; Jiang & Deng, Math. Comp. 83, 2014, for k = 9
+# to 11; Sorenson & Webster, Math. Comp. 86, 2017, for k = 12 and 13.  An n
+# below psi_k that passes those k bases is prime.
+_SPRP_PSI = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+    (41, 3317044064679887385961981),
+)
+_SPRP_BOUND = _SPRP_PSI[-1][1]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -180,7 +197,11 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic below 3.3e24 (fixed strong-pseudoprime battery); above
+    """Deterministic below 3.3e24: strong tests to the prime bases 2, 3, 5,
+    ... in order, stopping with "prime" once n lies below psi_k for the k
+    bases passed, the least strong pseudoprime to all of them (the table
+    _SPRP_PSI, OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Jiang & Deng,
+    Math. Comp. 83, 2014; Sorenson & Webster, Math. Comp. 86, 2017).  Above
     that, a base-2 strong test plus a strong Lucas test (BPSW: no
     counterexample to the combination is known).
 
@@ -195,8 +216,14 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 59 * 59:  # no prime factor up to 53, so none up to sqrt(n)
+        return True
     if n < _SPRP_BOUND:
-        return all(_strong_probable_prime(n, b) for b in _SPRP_BASES)
+        for base, psi in _SPRP_PSI:
+            if not _strong_probable_prime(n, base):
+                return False
+            if n < psi:
+                return True
     if not (_strong_probable_prime(n, 3) and _strong_probable_prime(n, 2)):
         return False
     if _is_square(n):
@@ -329,7 +356,14 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
     rounds = -(-budget.rho_rounds // math.isqrt(e // 2))
     factors, rest = _trial_division(n, budget.trial_limit)
     counts = dict(factors)
-    pending = [rest] if rest > 1 else []
+    pending = []
+    # Trial division leaves rest with no prime factor up to the limit (or
+    # stops early at a prime), so a composite rest is at least
+    # (limit + 1)^2: a rest up to limit^2 is prime.
+    if 1 < rest <= budget.trial_limit ** 2:
+        counts[rest] = 1
+    elif rest > 1:
+        pending.append(rest)
     cofactor = 1
     while pending:
         m = pending.pop()

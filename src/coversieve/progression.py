@@ -212,36 +212,60 @@ def combine_brier(parts) -> SievedProgression:
 # direct verification of concrete k
 
 
-def _hit_class(coeff: int, target: int, base: int, p: int, order: int) -> int | None:
-    """Least a in [0, order) with coeff * base^a ≡ target (mod p), or None."""
-    t = target % p
-    x = coeff % p
+def _discrete_logs(base: int, p: int, order: int, residues) -> dict[int, int]:
+    """r -> least a in [0, order) with base^a ≡ r (mod p), for each r of
+    residues that is a power of base modulo the prime p.  A residue r is
+    one iff r^order ≡ 1, so the others are dropped up front and one walk
+    over the powers of base stops once it has met every residue left."""
+    left = {r for r in residues if pow(r, order, p) == 1}
+    logs = {}
+    x = 1
     for a in range(order):
-        if x == t:
-            return a
+        if not left:
+            break
+        if x in left:
+            left.remove(x)
+            logs[x] = a
         x = x * base % p
-    return None
+    return logs
 
 
-def _period_check(base: int, cases, budget: Budget):
+def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | None = None):
     """Shared core of the period checks.
 
     Each case (label, coeff, target, primes) asks whether every n >= 0 has
     a prime p in its set with coeff * base^n ≡ target (mod p).  A prime
     dividing coeff hits every n (class 0 mod 1) when it also divides target
-    and no n otherwise.  Cases are scanned in order, each over its own
-    period (the lcm of its primes' orders), against one cumulative
-    certificate of (label, a, order, p) entries.  Returns (failure,
-    period, certificate): failure is (label, least uncovered n) for the
-    first failing case, else None with period the lcm over all cases.
-    A period above PERIOD_CAP is refused with CapacityError.
+    and no n otherwise; any other prime hits n ≡ a (mod ord_p(base)), a the
+    discrete log of target/coeff, found by one walk per prime for all the
+    cases at once.  Cases are scanned in order, each over its own period
+    (the lcm of its primes' orders), against one cumulative certificate of
+    (label, a, order, p) entries.  Returns (failure, period, certificate):
+    failure is (label, least uncovered n) for the first failing case, else
+    None with period the lcm over all cases.  A period above PERIOD_CAP is
+    refused with CapacityError.
+
+    orders maps primes to their orders of base.  The primes it lacks are
+    computed in increasing order and added to it, so checks that share one
+    dict compute each order once.
     """
-    orders = {}
+    orders = {} if orders is None else orders
     for p in sorted(set().union(*(primes for _, _, _, primes in cases))):
-        orders[p] = multiplicative_order(base, p, budget=budget)
+        if p not in orders:
+            orders[p] = multiplicative_order(base, p, budget=budget)
+    # per case, the residue target/coeff (mod p) that base^n must hit
+    wanted = [
+        {p: target * pow(coeff, -1, p) % p for p in primes if coeff % p}
+        for _, coeff, target, primes in cases
+    ]
+    residues = {}
+    for want in wanted:
+        for p, r in want.items():
+            residues.setdefault(p, set()).add(r)
+    logs = {p: _discrete_logs(base, p, orders[p], rs) for p, rs in residues.items()}
     cert = []
     periods = []
-    for label, coeff, target, primes in cases:
+    for (label, _, target, primes), want in zip(cases, wanted):
         L = lcm_all(orders[p] for p in primes)
         if L > PERIOD_CAP:
             raise CapacityError(
@@ -251,15 +275,14 @@ def _period_check(base: int, cases, budget: Budget):
         periods.append(L)
         classes = []
         for p in primes:
-            if coeff % p == 0:
-                if target % p:
-                    continue
-                a, o = 0, 1
-            else:
-                o = orders[p]
-                a = _hit_class(coeff, target, base, p, o)
+            if p in want:
+                a, o = logs[p].get(want[p]), orders[p]
                 if a is None:
                     continue
+            elif target % p:
+                continue
+            else:
+                a, o = 0, 1
             classes.append((a, o))
             cert.append((label, a, o, p))
         gap = _first_uncovered(classes, L)
@@ -268,15 +291,16 @@ def _period_check(base: int, cases, budget: Budget):
     return None, lcm_all(periods), tuple(cert)
 
 
-def _verify_pm(k, primes, sign, kind, budget):
-    """Shared core of verify_sierpinski / verify_riesel: k*2^n - sign."""
+def _verify_pm(k, primes, sign, kind, budget, orders=None):
+    """Shared core of verify_sierpinski / verify_riesel: k*2^n - sign.
+    orders is passed on to _period_check."""
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"k must be a positive odd integer, got {k}")
     primes = sorted(set(primes))
     for p in primes:
         if p == 2:
             raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
-    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], budget)
+    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], budget, orders)
     if failure is not None:
         gap = failure[1]
         return CheckResult(
@@ -308,9 +332,11 @@ def verify_riesel(k: int, primes, budget: Budget = DEFAULT_BUDGET) -> CheckResul
 
 
 def verify_brier(k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET) -> BrierCheck:
-    """k is Brier (relative to the two certificates) iff both checks pass."""
-    s = verify_sierpinski(k, primes_s, budget)
-    r = verify_riesel(k, primes_r, budget)
+    """k is Brier (relative to the two certificates) iff both checks pass.
+    The order of each prime is computed once, whichever sets hold it."""
+    orders = {}
+    s = _verify_pm(k, primes_s, -1, "sierpinski", budget, orders)
+    r = _verify_pm(k, primes_r, 1, "riesel", budget, orders)
     return BrierCheck(s.ok and r.ok, s, r)
 
 

@@ -14,7 +14,6 @@ from coversieve.covering import (
     auto_w,
     covers_target,
     lcm_of_moduli,
-    redundant_classes,
     satisfying_class,
     verify_naive,
     verify_partitioned,
@@ -175,16 +174,6 @@ def test_target_incompatible_class_rejected():
         system([(1, 16)], target=ResidueClass(2, 8))
 
 
-def test_redundant_classes():
-    assert redundant_classes(c0_system()) == []
-    dup = system([(0, 3), (0, 3), (1, 3), (2, 9), (5, 9), (8, 9)])
-    assert redundant_classes(dup) == [ResidueClass(0, 3)]
-    both = system([(0, 1), (0, 2)])
-    assert redundant_classes(both) == [ResidueClass(0, 2)]
-    with pytest.raises(ValueError):
-        redundant_classes(system([(1, 2)]))
-
-
 def test_verdict_invariant_on_uncovered():
     v = verify_partitioned(system([(0, 4), (1, 4), (2, 4)]), w=6)
     assert not v.covered
@@ -285,26 +274,14 @@ def _one_gap_system(x):
     return system([(a, m) for m in (32, 27, 25, 7, 11) for a in range(m) if a != x % m])
 
 
-def _redundant_naive(s):
-    # redundant_classes' greedy rule in list order, by the literal oracle
-    want, kept, i = [], list(s.classes), 0
-    while i < len(kept):
-        if verify_naive(CoveringSystem(tuple(kept[:i] + kept[i + 1:]), s.target)).covered:
-            want.append(kept.pop(i))
-        else:
-            i += 1
-    return want
-
-
 def test_library_verdicts_beyond_one_chunk_match_naive():
     # lcm 1663200 lies between 2^20 and NAIVE_CAP
     x = 1_600_001
     gap = _one_gap_system(x)
     assert covers_target(gap.classes, ALL_INTEGERS) == verify_naive(gap) == Verdict(False, x)
-    # of the two classes closing the gap, only (x mod 3326400), which lies
-    # inside (x mod 1663200), is redundant
-    s = system([(c.a, c.b) for c in gap.classes] + [(x, 1663200), (x, 3326400)])
-    assert redundant_classes(s) == _redundant_naive(s) == [ResidueClass(x, 3326400)]
+    # the class (x mod 1663200) closes the gap
+    s = system([(c.a, c.b) for c in gap.classes] + [(x, 1663200)])
+    assert covers_target(s.classes, ALL_INTEGERS) == verify_naive(s) == Verdict(True)
 
 
 def test_library_scans_a_root_whose_split_costs_more(monkeypatch):
@@ -327,8 +304,6 @@ def test_library_scans_a_root_whose_split_costs_more(monkeypatch):
         assert not want.covered
         assert covers_target(s.classes, ALL_INTEGERS) == want
         assert verify_partitioned(s, w=1) == want
-        closed = system(pairs + [(0, 2), (1, 2)])
-        assert redundant_classes(closed) == _redundant_naive(closed) != []
     assert 3 * q in scans
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,53 @@ def test_primality_strong_pseudoprimes_rejected():
               341550071728321, 3825123056546413051,
               318665857834031151167461, 3317044064679887385961981):
         assert not is_probable_prime(n), n
+
+
+# the published psi_k of OEIS A014233, k = 1..13: the least odd composite
+# that is a strong pseudoprime to each of the first k primes
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+PRIMORIAL_53 = math.prod(SMALL_PRIMES)
+
+
+def thirteen_bases(n):
+    """The rule below 3.3e24 with every base run: division by the primes
+    up to 53, then strong tests to all 13 prime bases up to 41."""
+    if n < 2 or math.gcd(n, PRIMORIAL_53) > 1:
+        return n in SMALL_PRIMES
+    return all(modarith._strong_probable_prime(n, b) for b in SMALL_PRIMES[:13])
+
+
+def test_psi_table_is_the_published_one():
+    assert modarith._SPRP_PSI == tuple(zip(SMALL_PRIMES[:13], PSI))
+    assert modarith._SPRP_BOUND == PSI[-1]
+
+
+def test_each_psi_is_composite():
+    # psi_k passes the first k bases, so it is where an early stop at
+    # n <= psi_k in place of n < psi_k would call a composite prime
+    for k, psi in enumerate(PSI, 1):
+        assert all(modarith._strong_probable_prime(psi, b) for b in SMALL_PRIMES[:k])
+        assert not is_probable_prime(psi), psi
+
+
+def test_primality_matches_thirteen_bases_below_a_million():
+    assert all(is_probable_prime(n) == thirteen_bases(n) for n in range(10**6))
+
+
+def test_primality_matches_thirteen_bases_on_a_sample_below_the_bound():
+    # from a seeded start of each size up to the bound, every n up to the
+    # next prime, so each sample holds composites and one prime
+    rng = random.Random(20261019)
+    for _ in range(400):
+        n = rng.randrange(2, 1 << rng.randrange(12, 82)) % modarith._SPRP_BOUND
+        while not thirteen_bases(n):
+            assert not is_probable_prime(n), n
+            n += 1
+        assert is_probable_prime(n), n
 
 
 def test_primality_large_lucas_path():
@@ -141,6 +189,31 @@ def test_false_order_promise_still_factors_correctly(monkeypatch):
     assert f.cofactor == 1 or not is_probable_prime(f.cofactor)
     with pytest.raises(ValueError):
         factor(n, RHO_BUDGET, order=0)
+
+
+def test_factor_takes_a_remainder_up_to_the_limit_squared_as_prime(monkeypatch):
+    """Trial division to the limit leaves a remainder with no prime factor
+    up to it, so a remainder up to limit^2 is prime without a test; above
+    that the test runs."""
+    tested, real = [], modarith.is_probable_prime
+
+    def spy(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(modarith, "is_probable_prime", spy)
+    budget = Budget(trial_limit=1000)
+    assert factor(2**3 * 999983, budget) == FactorizationResult(((2, 3), (999983, 1)))
+    assert factor(1009 * 991, budget) == FactorizationResult(((991, 1), (1009, 1)))
+    assert tested == []
+    # 1009^2 and 1009 * 1013 exceed 1000^2 and have no factor up to 1000
+    for n in (1009**2, 1009 * 1013):
+        f = factor(n, budget)
+        assert tested[0] == n and not real(n)
+        assert f.value() == n and f.complete and all(real(p) for p in f.primes())
+        tested.clear()
+    assert factor(5**2, Budget(trial_limit=3)) == FactorizationResult(((5, 2),))
+    assert factor(7, Budget(trial_limit=3)).primes() == [7]
 
 
 @given(st.integers(2, 10**5))

@@ -6,7 +6,7 @@ import pytest
 from coversieve import progression
 from coversieve.covering import ResidueClass
 from coversieve.cyclotomic import primes_of_order
-from coversieve.modarith import CapacityError, Congruence, crt_combine
+from coversieve.modarith import CapacityError, Congruence, crt_combine, multiplicative_order
 from coversieve.progression import (
     BrierCheck,
     CheckResult,
@@ -441,6 +441,124 @@ GOLDEN = {
 def test_period_checks_golden(name):
     check, expected = GOLDEN[name]
     assert check() == expected
+
+
+# ---------------------------------------------------------------------------
+# the shared walk against a reference that walks once per (case, prime)
+
+
+def reference_period_check(base, cases, budget, orders=None):
+    """_period_check as it stood before the shared walk: each (case, prime)
+    steps a from 0 until coeff * base^a ≡ target (mod p), and each case's
+    period is scanned member by member.  orders is ignored; every order is
+    computed afresh."""
+    orders = {p: multiplicative_order(base, p, budget=budget)
+              for p in sorted(set().union(*(primes for *_, primes in cases)))}
+    cert, periods = [], []
+    for label, coeff, target, primes in cases:
+        L = math.lcm(*(orders[p] for p in primes))
+        periods.append(L)
+        classes = []
+        for p in primes:
+            if coeff % p == 0:
+                if target % p:
+                    continue
+                a, o = 0, 1
+            else:
+                o = orders[p]
+                a = next((a for a in range(o) if (coeff * pow(base, a, p) - target) % p == 0), None)
+                if a is None:
+                    continue
+            classes.append((a, o))
+            cert.append((label, a, o, p))
+        gap = next((n for n in range(L) if all(n % o != a for a, o in classes)), None)
+        if gap is not None:
+            return (label, gap), L, tuple(cert)
+    return None, math.lcm(*periods), tuple(cert)
+
+
+# primes with small orders of 10 (1, 6, 2, 6, 3, 5, 8, 4, 8, 7, 5, 10, 12)
+# and of 2 (2, 4, 3, 10, 12, 8, 18, 5, 36, 20, 9, 36, 15, 24, 30, 48, 60)
+BASE10_POOL = (3, 7, 11, 13, 37, 41, 73, 101, 137, 239, 271, 9091, 9901)
+BASE2_POOL = (3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 109, 151, 241, 331, 673, 1321)
+
+
+def test_shared_walk_matches_the_reference_on_base10_digit_checks(monkeypatch):
+    # the 18 cases d = ±1..±9; k is a multiple of 3 or 7 now and then, so
+    # primes dividing both d and k (class 0 mod 1) and primes dividing k
+    # alone (no hit) both occur.  Each suffix of the case list is checked
+    # too, so the hit classes of every case are compared, not only those
+    # before the first failing case
+    rng = random.Random(1301)
+    budget = progression.DEFAULT_BUDGET
+    checks = []
+    for _ in range(40):
+        k = rng.randrange(1, 10**15) * rng.choice((1, 1, 3, 7, 21))
+        primes = sorted(rng.sample(BASE10_POOL, rng.randrange(1, len(BASE10_POOL) + 1)))
+        checks.append((k, primes))
+        cases = [(d, d, -k, primes) for d in range(-9, 10) if d != 0]
+        for i in range(len(cases)):
+            assert (progression._period_check(10, cases[i:], budget)
+                    == reference_period_check(10, cases[i:], budget)), (k, primes, i)
+    got = [verify_digit_robust(k, primes) for k, primes in checks]
+    monkeypatch.setattr(progression, "_period_check", reference_period_check)
+    assert got == [verify_digit_robust(k, primes) for k, primes in checks]
+
+
+def test_shared_walk_matches_the_reference_on_base2_checks(monkeypatch):
+    # Sierpinski, Riesel and Brier checks of seeded odd k over overlapping
+    # sets, and the published constants
+    rng = random.Random(1302)
+    calls = [
+        (verify_brier, sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES),
+        (verify_brier, sd.BRIER_K, sd.BRIER_S_PRIMES, sd.BRIER_R_PRIMES),
+        (verify_sierpinski, sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES),
+        (verify_riesel, sd.CLASSICAL_R_B, sd.CLASSICAL_R_PRIMES),
+    ]
+    for _ in range(60):
+        k = rng.randrange(1, 10**15) | 1
+        s_set = rng.sample(BASE2_POOL, rng.randrange(1, 10))
+        r_set = rng.sample(BASE2_POOL, rng.randrange(1, 10))
+        calls += [(verify_sierpinski, k, s_set), (verify_riesel, k, r_set),
+                  (verify_brier, k, s_set, r_set)]
+    got = [f(*args) for f, *args in calls]
+    monkeypatch.setattr(progression, "_period_check", reference_period_check)
+    assert got == [f(*args) for f, *args in calls]
+    assert any(r.ok for r in got) and not all(r.ok for r in got)
+
+
+def test_brier_computes_each_order_once(monkeypatch):
+    seen = []
+    real = progression.multiplicative_order
+
+    def spy(g, p, budget):
+        seen.append(p)
+        return real(g, p, budget)
+
+    monkeypatch.setattr(progression, "multiplicative_order", spy)
+    assert verify_brier(sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES).ok
+    assert sorted(seen) == sorted(set(sd.CLAVIER_S_PRIMES) | set(sd.CLAVIER_R_PRIMES))
+
+
+@pytest.mark.parametrize("k, extra_s, extra_r, message", [
+    (78556, [], [], "k must be a positive odd integer, got 78556"),
+    (78557, [2], [], "2 cannot divide k*2^n ± 1; use odd primes"),
+    (78557, [], [2], "2 cannot divide k*2^n ± 1; use odd primes"),
+    (78557, [9], [], "9 is not prime"),
+    (78557, [], [9], "9 is not prime"),
+    # with faults on both sides the Sierpinski side is validated first,
+    # its 2 before its composites, as before orders were shared
+    (78557, [15], [9], "15 is not prime"),
+    (78557, [9], [2], "9 is not prime"),
+    (78557, [2], [9], "2 cannot divide k*2^n ± 1; use odd primes"),
+    (78556, [2], [9], "k must be a positive odd integer, got 78556"),
+])
+def test_brier_validation_errors(k, extra_s, extra_r, message):
+    s_set = [3, 5, 17, 257, 641, 65537, 6700417] + extra_s
+    r_set = [3, 5, 7, 13, 17, 241] + extra_r
+    with pytest.raises(ValueError) as info:
+        verify_brier(k, s_set, r_set)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
