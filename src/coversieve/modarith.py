@@ -359,8 +359,9 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
     pending = []
     # Trial division leaves rest with no prime factor up to the limit (or
     # stops early at a prime), so a composite rest is at least
-    # (limit + 1)^2: a rest up to limit^2 is prime.
-    if 1 < rest <= budget.trial_limit ** 2:
+    # (limit + 1)^2: a rest up to limit^2 is prime.  A negative limit
+    # divides nothing out, so it counts as 0.
+    if 1 < rest <= max(budget.trial_limit, 0) ** 2:
         counts[rest] = 1
     elif rest > 1:
         pending.append(rest)

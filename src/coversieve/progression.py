@@ -238,9 +238,10 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
     dividing coeff hits every n (class 0 mod 1) when it also divides target
     and no n otherwise; any other prime hits n ≡ a (mod ord_p(base)), a the
     discrete log of target/coeff, found by one walk per prime for all the
-    cases at once.  Cases are scanned in order, each over its own period
-    (the lcm of its primes' orders), against one cumulative certificate of
-    (label, a, order, p) entries.  Returns (failure, period, certificate):
+    cases at once, made when the first case to hold the prime reaches it.
+    Cases are scanned in order, each over its own period (the lcm of its
+    primes' orders), against one cumulative certificate of (label, a,
+    order, p) entries.  Returns (failure, period, certificate):
     failure is (label, least uncovered n) for the first failing case, else
     None with period the lcm over all cases.  A period above PERIOD_CAP is
     refused with CapacityError.
@@ -262,7 +263,7 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
     for want in wanted:
         for p, r in want.items():
             residues.setdefault(p, set()).add(r)
-    logs = {p: _discrete_logs(base, p, orders[p], rs) for p, rs in residues.items()}
+    logs = {}
     cert = []
     periods = []
     for (label, _, target, primes), want in zip(cases, wanted):
@@ -276,6 +277,10 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
         classes = []
         for p in primes:
             if p in want:
+                # walked the first time a case reaches p, after its period
+                # passed the cap, so no walk is longer than PERIOD_CAP
+                if p not in logs:
+                    logs[p] = _discrete_logs(base, p, orders[p], residues[p])
                 a, o = logs[p].get(want[p]), orders[p]
                 if a is None:
                     continue

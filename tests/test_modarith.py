@@ -214,6 +214,10 @@ def test_factor_takes_a_remainder_up_to_the_limit_squared_as_prime(monkeypatch):
         tested.clear()
     assert factor(5**2, Budget(trial_limit=3)) == FactorizationResult(((5, 2),))
     assert factor(7, Budget(trial_limit=3)).primes() == [7]
+    # a negative limit divides nothing out and proves nothing prime
+    tested.clear()
+    assert factor(6, Budget(trial_limit=-3)) == FactorizationResult(((2, 1), (3, 1)))
+    assert tested[0] == 6
 
 
 @given(st.integers(2, 10**5))

@@ -184,6 +184,36 @@ def test_period_cap(monkeypatch):
         verify_sierpinski(78557, sd.SELFRIDGE_PRIMES)
 
 
+def test_period_cap_comes_before_any_walk(monkeypatch):
+    """A prime whose order exceeds PERIOD_CAP is refused before the walk
+    over its powers: 2 is a primitive root of 1000000000091, so a walk
+    would take up to 10^12 steps."""
+    big = 1000000000091
+    assert multiplicative_order(2, big) == big - 1
+    walked, real = [], progression._discrete_logs
+
+    def spy(base, p, order, residues):
+        assert order <= progression.PERIOD_CAP
+        walked.append(p)
+        return real(base, p, order, residues)
+
+    monkeypatch.setattr(progression, "_discrete_logs", spy)
+    for check in (verify_sierpinski, verify_riesel):
+        with pytest.raises(CapacityError, match="exceeds"):
+            check(big + 2, [3, big])
+    assert walked == []
+    # the Sierpinski side passes, walking its primes; the Riesel side is refused
+    with pytest.raises(CapacityError, match="exceeds"):
+        verify_brier(78557, sd.SELFRIDGE_PRIMES, [big])
+    assert sorted(walked) == sorted(sd.SELFRIDGE_PRIMES)
+    # with a cap of 10, Selfridge's period of 36 is refused before any walk
+    walked.clear()
+    monkeypatch.setattr(progression, "PERIOD_CAP", 10)
+    with pytest.raises(CapacityError):
+        verify_sierpinski(78557, sd.SELFRIDGE_PRIMES)
+    assert walked == []
+
+
 def test_verify_digit_robust_toy():
     res = verify_digit_robust(sd.TOY3_K, sd.TOY3_PRIMES, base=3)
     assert res.ok
