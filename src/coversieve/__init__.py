@@ -6,7 +6,6 @@ from .covering import (
     ResidueClass,
     Verdict,
     auto_w,
-    covers_target,
     lcm_of_moduli,
     satisfying_class,
     verify_naive,

@@ -4,7 +4,8 @@ verify_naive, the literal oracle, scans every member of the target below
 the lcm of the moduli.  verify_partitioned, the verifier the library
 itself uses, walks a residue tree (after Nielsen, J. Number Theory 129,
 2009) and handles any size, the 447- and 459-class systems included.
-Both must always agree.
+Both must always agree.  The period checks of progression run on the same
+tree (_least_gap).
 
 A root longer than one _CHUNK first scans its first _TILE members: a gap
 there is the least witness, found before any modulus is factored or any
@@ -21,15 +22,17 @@ when that gcd is above 1; w="auto" is the tree alone, as w=1 is.
 Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
 by m, into the children it meets; a child that some class contains whole
 is not built, and a node above the least gap found so far is dropped.
-The one scan kernel, shared with the period checks, marks classes into
+The one scan kernel, shared by both verifiers, marks classes into
 chunked bytearrays in strides, on long scans over copies of a pattern of
 the smallest moduli; witnesses come out identical to the literal scan.
 
 Every size bound is a module constant, the same for every call: NAIVE_CAP
 on the lcm verify_naive scans and WORK_CAP on the work of one
-verify_partitioned call, counted as one unit per tree node, one per 64
-class entries held by the nodes and one per 2^16 residues scanned; work
-beyond them raises CapacityError.
+verify_partitioned call or one period check, counted as one unit per tree
+node, one per 64 class entries held by the nodes and one per 2^16
+residues scanned; a period check also charges one class entry per step
+of each walk over a prime's powers.  Work beyond them raises
+CapacityError.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from .modarith import CapacityError, factor, lcm_all
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
-WORK_CAP = 10 ** 5  # most work units one verify_partitioned call spends (2-3.5 s)
+WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
 _SLICES = 1 << 12  # children whose classes are collected at a time
@@ -198,10 +201,10 @@ def auto_w(system: CoveringSystem) -> int:
 
 
 class _Work:
-    """What one verify_partitioned call has spent: one unit per tree node,
-    one per 64 class entries and one per 2^16 residues scanned; more than
-    WORK_CAP units raise CapacityError.  Also holds the primes of the
-    moduli, factored on the first split that needs them."""
+    """What one verify_partitioned call or period check has spent: one
+    unit per tree node, one per 64 class entries and one per 2^16 residues
+    scanned; more than WORK_CAP units raise CapacityError.  Also holds the
+    primes of the moduli, factored on the first split that needs them."""
 
     def __init__(self, classes: list[tuple[int, int]]):
         self.classes, self._primes, self.spent = classes, None, 0
@@ -352,11 +355,3 @@ def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict
         return Verdict(True)
     return Verdict(False, t + M * gap)
 
-
-def covers_target(classes, target: ResidueClass) -> Verdict:
-    """Do the classes cover the whole target residue class?
-
-    Classes that cannot intersect the target are rejected (CoveringSystem
-    enforces this).
-    """
-    return verify_partitioned(CoveringSystem(tuple(classes), target))

@@ -21,8 +21,8 @@ from .covering import (
     CoveringSystem,
     ResidueClass,
     ALL_INTEGERS,
-    covers_target,
     lcm_of_moduli,
+    verify_partitioned,
 )
 from .cyclotomic import read_integers
 from .modarith import is_probable_prime, verify_order
@@ -253,7 +253,7 @@ def verify_table1(data: AppendixData) -> Report:
             rep.violations.append(f"{p} fails the primality test")
         elif not verify_order(2, p, cls.b):
             rep.violations.append(f"ord_{p}(2) != {cls.b}")
-    verdict = covers_target([cls for cls, _ in data.table1], target)
+    verdict = verify_partitioned(CoveringSystem(tuple(cls for cls, _ in data.table1), target))
     if not verdict.covered:
         rep.violations.append(
             f"rows do not cover {target}; witness {verdict.witness}"

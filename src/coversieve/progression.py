@@ -5,9 +5,10 @@ to a prime p of order b base 2, pins B modulo each prime so that every
 k = Am + B makes k*2^n + 1 (or k*2^n - 1) divisible by one of the primes.
 This module builds such progressions from assignments, combines compatible
 ones into dual-sieve (Brier) progressions, and independently verifies the
-divisibility properties for concrete k by scanning one full period.
-Periods above PERIOD_CAP and shifted integers above MATERIALIZE_BITS are
-refused with CapacityError; both bounds are fixed module constants.
+divisibility properties for concrete k, each prime hitting one class of n
+modulo its order, on the residue tree of verify_partitioned under its
+WORK_CAP.  Shifted integers above the fixed MATERIALIZE_BITS are refused
+with CapacityError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .covering import CoveringSystem, ResidueClass, _first_uncovered, verify_partitioned
+from .covering import CoveringSystem, ResidueClass, _least_gap, _Work, verify_partitioned
 from .modarith import (
     Budget,
     CapacityError,
@@ -31,7 +32,6 @@ from .modarith import (
     verify_order,
 )
 
-PERIOD_CAP = 10 ** 7
 MATERIALIZE_BITS = 5_000_000
 
 
@@ -239,12 +239,13 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
     and no n otherwise; any other prime hits n ≡ a (mod ord_p(base)), a the
     discrete log of target/coeff, found by one walk per prime for all the
     cases at once, made when the first case to hold the prime reaches it.
-    Cases are scanned in order, each over its own period (the lcm of its
-    primes' orders), against one cumulative certificate of (label, a,
-    order, p) entries.  Returns (failure, period, certificate):
-    failure is (label, least uncovered n) for the first failing case, else
-    None with period the lcm over all cases.  A period above PERIOD_CAP is
-    refused with CapacityError.
+    Cases are checked in order, each by the residue tree (_least_gap) over
+    its hit classes, against one cumulative certificate of (label, a,
+    order, p) entries.  Returns (failure, period, certificate): failure is
+    (label, least uncovered n) for the first failing case, with period the
+    lcm of its primes' orders, else None with period the lcm over all
+    cases.  One _Work bounds the call's trees and walks by WORK_CAP, each
+    walk charged one class entry per step of ord_p before the case's first.
 
     orders maps primes to their orders of base.  The primes it lacks are
     computed in increasing order and added to it, so checks that share one
@@ -263,22 +264,19 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
     for want in wanted:
         for p, r in want.items():
             residues.setdefault(p, set()).add(r)
+    # the hit classes' moduli are these orders, or 1
+    work = _Work([(0, orders[p]) for p in residues])
     logs = {}
     cert = []
     periods = []
     for (label, _, target, primes), want in zip(cases, wanted):
-        L = lcm_all(orders[p] for p in primes)
-        if L > PERIOD_CAP:
-            raise CapacityError(
-                f"scan period {L} exceeds {PERIOD_CAP}; supply per-class certificates "
-                f"instead of a whole-period scan"
-            )
-        periods.append(L)
+        periods.append(lcm_all(orders[p] for p in primes))
+        # a walk takes up to ord_p steps, each cheaper than a class entry,
+        # so the charge bounds it before it starts
+        work.charge(entries=sum(orders[p] for p in want if p not in logs))
         classes = []
         for p in primes:
             if p in want:
-                # walked the first time a case reaches p, after its period
-                # passed the cap, so no walk is longer than PERIOD_CAP
                 if p not in logs:
                     logs[p] = _discrete_logs(base, p, orders[p], residues[p])
                 a, o = logs[p].get(want[p]), orders[p]
@@ -290,9 +288,9 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
                 a, o = 0, 1
             classes.append((a, o))
             cert.append((label, a, o, p))
-        gap = _first_uncovered(classes, L)
+        gap = _least_gap(classes, 1, work)
         if gap is not None:
-            return (label, gap), L, tuple(cert)
+            return (label, gap), periods[-1], tuple(cert)
     return None, lcm_all(periods), tuple(cert)
 
 
@@ -360,7 +358,7 @@ def verify_digit_robust(
         raise ValueError(f"base must be >= 2, got {base}")
     primes = sorted(set(primes))
     for p in primes:
-        if base % p == 0:
+        if p > 1 and base % p == 0:
             raise ValueError(
                 f"{p} divides the base {base}, so base^n is 0 mod {p} and the "
                 f"order of {base} mod {p} does not exist; drop it from the set"

@@ -9,6 +9,12 @@ them as ground truth.
 # Selfridge's 78557: scan of n in [0, 36) with trial division.
 SELFRIDGE_K = 78557
 SELFRIDGE_PRIMES = [3, 5, 7, 13, 19, 37, 73]
+# with the prime factors of 2^e - 1 for e = 17, 19, 23, 29, 31 added, the
+# orders of 2 have lcm 36 * 17 * 19 * 23 * 29 * 31
+SELFRIDGE_MERSENNE_PRIMES = SELFRIDGE_PRIMES + [
+    131071, 524287, 47, 178481, 233, 1103, 2089, 2147483647,
+]
+SELFRIDGE_MERSENNE_PERIOD = 240432156
 
 # The classical progression 15511380746462593381 + 36893488147419103230*m;
 # the modulus factors as 2 * 3 * 5 * 17 * 257 * 641 * 65537 * 6700417.

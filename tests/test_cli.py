@@ -1,6 +1,10 @@
+import contextlib
+import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coversieve import cli, covering
 from coversieve.cli import main
@@ -179,6 +183,46 @@ def test_check_command(capsys, tmp_path):
     # failing check exits 1
     code, out = run(capsys, "check", "--kind", "sierpinski", "--k", 3, "--primes", f)
     assert code == 1
+
+
+def test_check_beyond_a_whole_period_scan(capsys, tmp_path):
+    f = tmp_path / "mersenne.txt"
+    f.write_text("".join(f"{p}\n" for p in sd.SELFRIDGE_MERSENNE_PRIMES))
+    code, out = run(capsys, "check", "--kind", "sierpinski", "--k", 78559, "--primes", f,
+                    "--format", "kv")
+    assert code == 1
+    assert kv(out)["witness"] == "6" and kv(out)["period"] == str(sd.SELFRIDGE_MERSENNE_PERIOD)
+
+
+@st.composite
+def check_argv(draw):
+    """check's flags at every --kind, with prime files of small primes, 2,
+    composites, divisors of the base, or nothing."""
+    kind = draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2")))
+    k = draw(st.one_of(st.integers(-3, 300), st.sampled_from((78557, 509203, 3367034))))
+    base = draw(st.integers(-1, 12))
+    pool = [2, 3, 5, 7, 11, 13, 17, 19, 37, 41, 73, 241, 0, 1, 4, 9, 15, 91, -7]
+    pool += [d for d in range(1, base + 1) if base % d == 0]
+    files = draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=2, max_size=2))
+    return kind, k, base, files
+
+
+@given(check_argv())
+@settings(max_examples=100, deadline=None)
+def test_check_fuzz_exits_with_an_answer_or_one_error(argv):
+    kind, k, base, files = argv
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"{i}.txt") for i in range(2)]
+        for path, primes in zip(paths, files):
+            with open(path, "w") as fh:
+                fh.write("".join(f"{p}\n" for p in primes))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--kind", kind, "--k", str(k), "--base", str(base),
+                         "--primes", paths[0], "--primes-riesel", paths[1]])
+    assert code in (0, 1, 2), err.getvalue()
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+    assert code != 2 or (out.getvalue() == "" and err.getvalue().startswith("error:"))
 
 
 def test_build_and_combine_commands(capsys, tmp_path):

@@ -12,7 +12,6 @@ from coversieve.covering import (
     ResidueClass,
     Verdict,
     auto_w,
-    covers_target,
     lcm_of_moduli,
     satisfying_class,
     verify_naive,
@@ -152,21 +151,21 @@ def test_satisfying_class_matches_table2():
     assert satisfying_class(system([(1, 2)]), 0) is None
 
 
-def test_covers_target_table1():
+def test_verify_partitioned_target_table1():
     target = ResidueClass(2, 8)
     classes = [ResidueClass(a, b) for a, b in TABLE1_CLASSES]
-    assert covers_target(classes, target).covered
+    assert verify_partitioned(CoveringSystem(tuple(classes), target)).covered
     dropped = [c for c in classes if c != ResidueClass(426, 432)]
-    v = covers_target(dropped, target)
+    v = verify_partitioned(CoveringSystem(tuple(dropped), target))
     assert not v.covered
     assert v.witness % 8 == 2
     assert all(not c.contains(v.witness) for c in dropped)
-    assert covers_target([target], target).covered
+    assert verify_partitioned(CoveringSystem((target,), target)).covered
 
 
-def test_covers_target_all_integers_equals_plain_verify():
-    classes = list(c0_system().classes)
-    assert covers_target(classes, ALL_INTEGERS).covered == verify_naive(c0_system()).covered
+def test_verify_partitioned_all_integers_target_equals_plain_verify():
+    s = CoveringSystem(c0_system().classes, ALL_INTEGERS)
+    assert verify_partitioned(s).covered == verify_naive(c0_system()).covered
 
 
 def test_target_incompatible_class_rejected():
@@ -278,10 +277,10 @@ def test_library_verdicts_beyond_one_chunk_match_naive():
     # lcm 1663200 lies between 2^20 and NAIVE_CAP
     x = 1_600_001
     gap = _one_gap_system(x)
-    assert covers_target(gap.classes, ALL_INTEGERS) == verify_naive(gap) == Verdict(False, x)
+    assert verify_partitioned(gap) == verify_naive(gap) == Verdict(False, x)
     # the class (x mod 1663200) closes the gap
     s = system([(c.a, c.b) for c in gap.classes] + [(x, 1663200)])
-    assert covers_target(s.classes, ALL_INTEGERS) == verify_naive(s) == Verdict(True)
+    assert verify_partitioned(s) == verify_naive(s) == Verdict(True)
 
 
 def test_library_scans_a_root_whose_split_costs_more(monkeypatch):
@@ -302,7 +301,7 @@ def test_library_scans_a_root_whose_split_costs_more(monkeypatch):
         s = system(pairs)
         want = verify_naive(s)
         assert not want.covered
-        assert covers_target(s.classes, ALL_INTEGERS) == want
+        assert verify_partitioned(s) == want
         assert verify_partitioned(s, w=1) == want
     assert 3 * q in scans
 

@@ -1,12 +1,15 @@
 """The README's bounds table names module constants and their values; each
-must exist in the package with that value."""
+must exist in the package with that value, and every module-level *_CAP or
+*_BITS constant of the package must have a row."""
 
+import ast
 import importlib
 import math
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _bounds_table() -> list[tuple[str, str]]:
@@ -21,6 +24,18 @@ def _bounds_table() -> list[tuple[str, str]]:
         name, value = (cell.strip() for cell in line.strip("|").split("|")[:2])
         rows.append((name.strip("`"), value))
     return rows
+
+
+def _module_bounds() -> set[str]:
+    """module.NAME for each module-level assignment to a *_CAP or *_BITS name."""
+    names = set()
+    for path in (ROOT / "src" / "coversieve").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                name = getattr(target, "id", "")
+                if re.fullmatch(r"[A-Z]\w*_(CAP|BITS)", name):
+                    names.add(f"{path.stem}.{name}")
+    return names
 
 
 def _number(value: str) -> int:
@@ -38,7 +53,8 @@ def test_number_parsing():
 
 def test_readme_bounds_match_the_code():
     rows = _bounds_table()
-    assert len(rows) >= 5
+    missing = _module_bounds() - {name for name, _ in rows}
+    assert not missing, f"the README bounds table lacks {sorted(missing)}"
     for name, value in rows:
         module, attr = name.rsplit(".", 1)
         mod = importlib.import_module(f"coversieve.{module}")

@@ -1,12 +1,19 @@
+import functools
 import math
 import random
 
 import pytest
 
-from coversieve import progression
+from coversieve import covering, progression
 from coversieve.covering import ResidueClass
 from coversieve.cyclotomic import primes_of_order
-from coversieve.modarith import CapacityError, Congruence, crt_combine, multiplicative_order
+from coversieve.modarith import (
+    CapacityError,
+    Congruence,
+    crt_combine,
+    is_probable_prime,
+    multiplicative_order,
+)
 from coversieve.progression import (
     BrierCheck,
     CheckResult,
@@ -178,14 +185,18 @@ def test_verify_pm_input_validation():
 
 
 def test_period_cap(monkeypatch):
-    # Selfridge's primes need a period of 36, above a cap of 10
-    monkeypatch.setattr(progression, "PERIOD_CAP", 10)
-    with pytest.raises(CapacityError):
+    # period checks spend covering.WORK_CAP: Selfridge's walks are charged
+    # 2 + 4 + 3 + 12 + 18 + 36 + 9 = 84 class entries, more than the 64 of
+    # one unit and fewer than the 128 of two
+    monkeypatch.setattr(covering, "WORK_CAP", 1)
+    with pytest.raises(CapacityError, match="work units"):
         verify_sierpinski(78557, sd.SELFRIDGE_PRIMES)
+    monkeypatch.setattr(covering, "WORK_CAP", 2)
+    assert verify_sierpinski(78557, sd.SELFRIDGE_PRIMES).ok
 
 
 def test_period_cap_comes_before_any_walk(monkeypatch):
-    """A prime whose order exceeds PERIOD_CAP is refused before the walk
+    """A prime whose walk would pass WORK_CAP is refused before the walk
     over its powers: 2 is a primitive root of 1000000000091, so a walk
     would take up to 10^12 steps."""
     big = 1000000000091
@@ -193,25 +204,41 @@ def test_period_cap_comes_before_any_walk(monkeypatch):
     walked, real = [], progression._discrete_logs
 
     def spy(base, p, order, residues):
-        assert order <= progression.PERIOD_CAP
         walked.append(p)
         return real(base, p, order, residues)
 
     monkeypatch.setattr(progression, "_discrete_logs", spy)
     for check in (verify_sierpinski, verify_riesel):
-        with pytest.raises(CapacityError, match="exceeds"):
+        with pytest.raises(CapacityError, match="work units"):
             check(big + 2, [3, big])
     assert walked == []
     # the Sierpinski side passes, walking its primes; the Riesel side is refused
-    with pytest.raises(CapacityError, match="exceeds"):
+    with pytest.raises(CapacityError, match="work units"):
         verify_brier(78557, sd.SELFRIDGE_PRIMES, [big])
     assert sorted(walked) == sorted(sd.SELFRIDGE_PRIMES)
-    # with a cap of 10, Selfridge's period of 36 is refused before any walk
+    # a cap of one unit (64 entries) refuses Selfridge's 84 before any walk
     walked.clear()
-    monkeypatch.setattr(progression, "PERIOD_CAP", 10)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(covering, "WORK_CAP", 1)
+    with pytest.raises(CapacityError, match="work units"):
         verify_sierpinski(78557, sd.SELFRIDGE_PRIMES)
     assert walked == []
+
+
+def test_period_beyond_a_whole_period_scan():
+    # 240,432,156 residues, which a whole-period scan would mark; the tree
+    # needs only the lcm of the classes hit
+    primes = sd.SELFRIDGE_MERSENNE_PRIMES
+    res = verify_sierpinski(78559, primes)
+    assert not res.ok and res.witness == 6
+    assert res.period == sd.SELFRIDGE_MERSENNE_PERIOD
+    res = verify_sierpinski(78557, primes)
+    assert not res.ok and res.witness is None and "does not exceed" in res.reason
+    assert res.period == sd.SELFRIDGE_MERSENNE_PERIOD
+    # a certificate with no gap: every n hits a class
+    classes = [(a, o) for _, a, o, _ in res.certificate]
+    assert covering._first_uncovered(classes, math.lcm(*(o for _, o in classes))) is None
+    for _, a, _, p in res.certificate:
+        assert (78557 * pow(2, a, p) + 1) % p == 0
 
 
 def test_verify_digit_robust_toy():
@@ -230,6 +257,8 @@ def test_verify_digit_robust_negative_cases():
     assert not verify_digit_robust(101, []).ok
     with pytest.raises(ValueError, match="divides the base"):
         verify_digit_robust(101, [5], base=10)
+    with pytest.raises(ValueError, match="0 is not prime"):
+        verify_digit_robust(101, [0], base=10)
 
 
 def test_verify_base2_delicate():
@@ -477,11 +506,15 @@ def test_period_checks_golden(name):
 # the shared walk against a reference that walks once per (case, prime)
 
 
-def reference_period_check(base, cases, budget, orders=None):
+def literal_scan(classes, count):
+    return next((n for n in range(count) if all(n % o != a for a, o in classes)), None)
+
+
+def reference_period_check(base, cases, budget, orders=None, scan=literal_scan):
     """_period_check as it stood before the shared walk: each (case, prime)
     steps a from 0 until coeff * base^a ≡ target (mod p), and each case's
-    period is scanned member by member.  orders is ignored; every order is
-    computed afresh."""
+    whole period is scanned, member by member by default.  orders is
+    ignored; every order is computed afresh."""
     orders = {p: multiplicative_order(base, p, budget=budget)
               for p in sorted(set().union(*(primes for *_, primes in cases)))}
     cert, periods = [], []
@@ -501,7 +534,7 @@ def reference_period_check(base, cases, budget, orders=None):
                     continue
             classes.append((a, o))
             cert.append((label, a, o, p))
-        gap = next((n for n in range(L) if all(n % o != a for a, o in classes)), None)
+        gap = scan(classes, L)
         if gap is not None:
             return (label, gap), L, tuple(cert)
     return None, math.lcm(*periods), tuple(cert)
@@ -555,6 +588,35 @@ def test_shared_walk_matches_the_reference_on_base2_checks(monkeypatch):
     monkeypatch.setattr(progression, "_period_check", reference_period_check)
     assert got == [f(*args) for f, *args in calls]
     assert any(r.ok for r in got) and not all(r.ok for r in got)
+
+
+def test_tree_matches_a_whole_period_scan(monkeypatch):
+    # periods in (2^20, 10^7], which a whole-period scan still answers and
+    # the residue tree splits: Selfridge's or the classical Riesel primes,
+    # now and then with one dropped, plus primes of which 2 is a primitive
+    # root, so that each of them hits a class
+    rng = random.Random(1401)
+    pool = [p for p in range(11, 3000)
+            if is_probable_prime(p) and multiplicative_order(2, p) == p - 1]
+    covers = [(verify_sierpinski, sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES),
+              (verify_riesel, sd.CLASSICAL_R_B, sd.CLASSICAL_R_PRIMES)]
+    calls = []
+    while len(calls) < 40:
+        check, k, base = rng.choice(covers)
+        primes = base + rng.sample(pool, rng.randrange(2, 5))
+        if rng.random() < 0.3:
+            primes.remove(rng.choice(base))
+        if (1 << 20) < math.lcm(*(multiplicative_order(2, p) for p in primes)) <= 10 ** 7:
+            calls.append((check, k + 2 * math.prod(base) * rng.randrange(10 ** 6), primes))
+    splits, children = [], covering._children
+    monkeypatch.setattr(covering, "_children",
+                        lambda *node: splits.append(node) or children(*node))
+    got = [check(k, primes) for check, k, primes in calls]
+    assert len(splits) >= 20
+    assert any(r.witness is None for r in got) and any(r.witness is not None for r in got)
+    monkeypatch.setattr(progression, "_period_check",
+                        functools.partial(reference_period_check, scan=covering._first_uncovered))
+    assert got == [check(k, primes) for check, k, primes in calls]
 
 
 def test_brier_computes_each_order_once(monkeypatch):
