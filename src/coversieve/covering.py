@@ -7,18 +7,20 @@ itself uses, walks a residue tree (after Nielsen, J. Number Theory 129,
 Both must always agree.  The period checks of progression run on the same
 tree (_least_gap).
 
-A root longer than one _CHUNK first scans its first _TILE members: a gap
-there is the least witness, found before any modulus is factored or any
-node split, as is that of every failing one-class-dropped mutant of the
-embedded coverings.  Past that prefix every node, the root included,
-follows one rule: a node that holds a modulus-1 class is covered, a node
-that fits one _CHUNK, or whose scan costs fewer work units than its
-split, is scanned, and any other node splits on the prime q whose classes
-cover the most of it: the largest sum of period/b over its classes with
-q | b, the classes that the split sends to one child each.  The moduli are
-factored only when a node longer than one _CHUNK needs their primes.  Only
-an integer w changes the root: it splits into the slices mod gcd(w, period)
-when that gcd is above 1; w="auto" is the tree alone, as w=1 is.
+A root of period P above _TILE first scans its first min(_TILE, P/16)
+members, in both verifiers: a gap there is the least witness, found before
+any modulus is factored, any node split or the whole period scanned, as is
+that of every failing one-class-dropped mutant of the embedded coverings;
+a covered root scans at most 1/16 more residues for it.  Past that prefix
+every node, the root included, follows one rule: a node that holds a
+modulus-1 class is covered, a node that fits one _CHUNK, or whose scan
+costs fewer work units than its split, is scanned, and any other node
+splits on the prime q whose classes cover the most of it: the largest sum
+of period/b over its classes with q | b, the classes that the split sends
+to one child each.  The moduli are factored only when a node longer than
+one _CHUNK needs their primes.  Only an integer w changes the root: it
+splits into the slices mod gcd(w, period) when that gcd is above 1;
+w="auto" is the tree alone, as w=1 is.
 Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
 by m, into the children it meets; a child that some class contains whole
 is not built, and a node above the least gap found so far is dropped.
@@ -177,16 +179,26 @@ def _mark(mask: bytearray, lo: int, classes) -> bytearray:
     return mask
 
 
+def _prefix(period: int) -> int:
+    """How many members a root of this period above _TILE scans first:
+    min(_TILE, period/16) at the default sizes, in (0, period] at any."""
+    return max(1, min(_TILE, period * _TILE // _CHUNK))
+
+
 def verify_naive(system: CoveringSystem) -> Verdict:
-    """Check every member of the target in [0, lcm) directly; lcms above
-    NAIVE_CAP are refused."""
+    """Check every member of the target in [0, lcm) directly, in order, and
+    stop at the first gap; an lcm above _TILE has its prefix (_prefix)
+    scanned first, as a root of _least_gap does.  Lcms above NAIVE_CAP are
+    refused."""
     classes, M, t = _offset_form(system)
     ell = lcm_all(b for _, b in classes)
     if ell > NAIVE_CAP:
         raise CapacityError(
             f"lcm of moduli is {ell} > cap {NAIVE_CAP}; use verify_partitioned"
         )
-    gap = _first_uncovered(classes, ell)
+    gap = _first_uncovered(classes, _prefix(ell)) if ell > _TILE else None
+    if gap is None:
+        gap = _first_uncovered(classes, ell)
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)
@@ -246,9 +258,10 @@ class _Work:
 def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | None:
     """Least y >= 0 lying in none of the classes, or None if there is none.
 
-    A root longer than one _CHUNK first scans its first _TILE members, one
-    work unit: a gap there is the least one, returned before any modulus
-    is factored or any child built.
+    A root of period P above _TILE first scans its first _prefix(P)
+    members, min(_TILE, P/16), at most one work unit: a gap there is the
+    least one, returned before any modulus is factored, any child built or
+    the whole period scanned.
 
     Past that prefix every node, the root (all y) included, is covered if
     it holds a modulus-1 class.  A node longer than one _CHUNK picks its
@@ -280,12 +293,12 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
         if 1 in moduli:
             continue
         period = math.lcm(*moduli)
+        if step == 1 and period > _TILE:  # the root, whose prefix is scanned first
+            work.charge(residues=(n := _prefix(period)))
+            gap = _first_uncovered(classes, n)
+            if gap is not None:
+                return gap
         if period > _CHUNK:
-            if step == 1:  # the root, whose prefix is scanned first
-                work.charge(residues=_TILE)
-                gap = _first_uncovered(classes, _TILE)
-                if gap is not None:
-                    return gap
             m, w = math.gcd(w, period), 1  # only the first split is by w
             if m == 1:  # the prime whose classes cover the most of the node
                 count = Counter(b for _, b in classes).items()

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import tempfile
 
@@ -223,6 +224,76 @@ def test_check_fuzz_exits_with_an_answer_or_one_error(argv):
     assert code in (0, 1, 2), err.getvalue()
     assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
     assert code != 2 or (out.getvalue() == "" and err.getvalue().startswith("error:"))
+
+
+_DIVISORS = [d for d in range(1, 361) if 831600 % d == 0]
+
+
+@st.composite
+def covering_file(draw):
+    """A covering file of 1-12 classes whose moduli divide 831600 and are at
+    most 360, or of the 2^17 chain 2^k - 1 (mod 2^(k+1)), k < 17, with
+    classes whose moduli divide 16 and now and then 2^17 - 1 (mod 2^17);
+    sometimes with a modulus-1 class, a target header the classes meet, or
+    one malformed line.  Returns (text, classes, target, malformed)."""
+    chain = draw(st.integers(0, 4)) == 0
+    pool = [d for d in _DIVISORS if not chain or 16 % d == 0]
+    targets = [d for d in _DIVISORS if not chain or d % 2]  # the chain meets odd ones
+    t, M = (draw(st.integers(-400, 400)), draw(st.sampled_from(targets))) \
+        if draw(st.integers(0, 3)) == 0 else (0, 1)
+    classes = []
+    for b in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)):
+        a = draw(st.integers(-400, 400))
+        classes.append((a - (a - t) % math.gcd(b, M), b))  # a class the target meets
+    if chain:
+        classes += [((1 << k) - 1, 2 << k) for k in range(17)]
+        classes += [((1 << 17) - 1, 1 << 17)] * draw(st.booleans())
+    if draw(st.integers(0, 5)) == 0:
+        classes.insert(draw(st.integers(0, len(classes))), (draw(st.integers(-9, 9)), 1))
+    lines = [f"{a} {b}" for a, b in classes]
+    malformed = draw(st.integers(0, 4)) == 0
+    if malformed:
+        bad = draw(st.sampled_from(["x 5", "1.5 4", "3 y", "3 0", "1 -4", "0 -1"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    if M > 1:
+        lines.insert(0, f"target {t} {M}")
+    return "".join(f"{line}\n" for line in lines), classes, (t % M, M), malformed
+
+
+def literal_verdict(classes, target):
+    """The least member of the target below the lcm in no class, tested
+    member by member, class by class; None if every member is covered."""
+    t, M = target
+    moduli = sorted((b, a % b) for a, b in classes)
+    for x in range(t, math.lcm(M, *(b for b, _ in moduli)), M):
+        for b, a in moduli:
+            if x % b == a:
+                break
+        else:
+            return x
+    return None
+
+
+@given(covering_file())
+@settings(max_examples=100, deadline=None)
+def test_verify_fuzz_matches_a_literal_loop_or_gives_one_error(drawn):
+    text, classes, target, malformed = drawn
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fuzz.cov")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", path, "--method", "both", "--format", "kv"])
+    if malformed:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert code in (0, 1) and err.getvalue() == "", err.getvalue()
+    got = kv(out.getvalue())
+    witness = literal_verdict(classes, target)
+    assert got["covered"] == str(int(witness is None))
+    assert got.get("witness") == (None if witness is None else str(witness))
 
 
 def test_build_and_combine_commands(capsys, tmp_path):

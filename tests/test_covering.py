@@ -233,8 +233,9 @@ def test_work_bound_counts_class_entries(monkeypatch):
     # (1 mod 4), (3 mod 8) and (7 mod 8) all of it, so each node splits on
     # 2: the root, then y = 1 (mod 2), then y = 3 (mod 4), whose children
     # are all whole.  The 640 classes sit in all three nodes, so 1929 class
-    # entries cost 30 units, where the six children and the prefix scan
-    # cost 7: a node count alone would pass a bound of 20
+    # entries cost 30 units, where the six children cost 6: a node count
+    # alone would pass a bound of 20.  The root's period, 19,208, is not
+    # above _TILE, so it scans no prefix
     monkeypatch.setattr(covering, "_CHUNK", 64)
     s = system([(0, 2), (1, 4), (3, 8), (7, 8)] + [(a, 7**4) for a in range(640)])
     spent = []
@@ -244,7 +245,7 @@ def test_work_bound_counts_class_entries(monkeypatch):
         charge(self, nodes, entries, residues)
     monkeypatch.setattr(covering._Work, "charge", spy)
     assert verify_partitioned(s, w=1) == Verdict(True)
-    assert sum(spent) == 7 << 16
+    assert sum(spent) == 6 << 16
     monkeypatch.setattr(covering, "WORK_CAP", 20)
     with pytest.raises(CapacityError, match="more than 20 work units"):
         verify_partitioned(s, w=1)
@@ -614,6 +615,94 @@ def test_mutant_gap_in_the_prefix_needs_no_factoring_and_no_split(monkeypatch, n
     mutant = system(classes[:i] + classes[i + 1:])
     for w in ("auto", 1, 30):
         assert verify_partitioned(mutant, w=w) == Verdict(False, x)
+
+
+def _chain(complete=False):
+    # 2^k - 1 (mod 2^(k+1)), k < 17, hold every y below 2^17 but 2^17 - 1;
+    # the class 2^17 - 1 (mod 2^17) closes that gap
+    pairs = [((1 << k) - 1, 2 << k) for k in range(17)]
+    return system(pairs + [((1 << 17) - 1, 1 << 17)] * complete)
+
+
+def _literal_verdict(s):
+    """Each member of the target below the lcm, tested class by class."""
+    classes = sorted((c.b, c.a) for c in s.classes)
+    t, M = s.target.a, s.target.b
+    for x in range(t, math.lcm(lcm_of_moduli(s), M), M):
+        for b, a in classes:
+            if x % b == a:
+                break
+        else:
+            return Verdict(False, x)
+    return Verdict(True)
+
+
+def test_roots_between_the_tile_and_one_chunk_match_a_literal_loop():
+    # roots whose period lies in (2^16, 2^20] scan a prefix of period/16
+    # members before the whole period: the chain, whose gap lies past any
+    # prefix, and its completion, and seeded random systems from the
+    # masters 55440 and 831600, one in three with the class 0 (mod 1)
+    assert _literal_verdict(_chain()) == Verdict(False, (1 << 17) - 1)
+    assert _literal_verdict(_chain(complete=True)) == Verdict(True)
+    systems = [_chain(), _chain(complete=True)]
+    rng = random.Random(1501)
+    for master, count in ((55440, 12), (831600, 24)):
+        pool = [d for d in range(1, 361) if master % d == 0]
+        for i in range(count):
+            pairs = [(rng.randrange(b), b) for b in rng.choices(pool, k=rng.randint(1, 12))]
+            if i % 3 == 0:
+                pairs.insert(rng.randrange(len(pairs) + 1), (0, 1))
+            systems.append(system(pairs))
+    assert sum((1 << 16) < lcm_of_moduli(s) <= (1 << 20) for s in systems) >= 12
+    for s in systems:
+        want = _literal_verdict(s)
+        assert verify_naive(s) == want
+        for w in ("auto", 1, 6, 30):
+            assert verify_partitioned(s, w=w) == want
+
+
+def test_a_gap_in_the_prefix_of_a_mid_size_root_is_the_one_scan(monkeypatch):
+    # every class mod 16, 27, 25, 7 and 11 but x's leaves x the only gap
+    # below their lcm, 831600, whose prefix of 831600/16 = 51975 members
+    # holds x: each verifier scans that prefix and nothing else
+    x = 50_000
+    s = system([(a, m) for m in (16, 27, 25, 7, 11) for a in range(m) if a != x % m])
+    assert lcm_of_moduli(s) == 831600
+    scans = []
+    first_uncovered = covering._first_uncovered
+    def spy(classes, count):
+        scans.append(count)
+        return first_uncovered(classes, count)
+    monkeypatch.setattr(covering, "_first_uncovered", spy)
+    assert verify_naive(s) == Verdict(False, x)
+    assert scans == [51975]
+    for w in ("auto", 1, 6, 30):
+        scans.clear()
+        assert verify_partitioned(s, w=w) == Verdict(False, x)
+        assert scans == [51975]
+
+
+@pytest.mark.parametrize("limits", [{}, {"_CHUNK": 64}, {"_CHUNK": 64, "_TILE": 8},
+                                    {"_TILE": 1}, {"_CHUNK": 8, "_TILE": 64}])
+def test_root_prefix_stays_within_its_period(monkeypatch, limits):
+    # the prefix is min(_TILE, period/16) at the default sizes, and in
+    # (0, period] whatever _TILE and _CHUNK are; no scan of either verifier
+    # runs past the period of the classes it is given
+    for period in (1 << 16) + 1, 831600, 1 << 20, (1 << 20) + 1, 10 ** 9:
+        assert covering._prefix(period) == min(1 << 16, period >> 4)
+    for name, value in limits.items():
+        monkeypatch.setattr(covering, name, value)
+    for period in range(covering._TILE + 1, covering._TILE + 200):
+        assert 0 < covering._prefix(period) <= period
+    first_uncovered = covering._first_uncovered
+    def spy(classes, count):
+        assert 0 < count <= math.lcm(*(b for _, b in classes))
+        return first_uncovered(classes, count)
+    monkeypatch.setattr(covering, "_first_uncovered", spy)
+    rng = random.Random(1502)
+    for s in [_chain(), _chain(complete=True)] + [_random_system(rng) for _ in range(20)]:
+        want = verify_naive(s)
+        assert verify_partitioned(s) == verify_partitioned(s, w=6) == want
 
 
 def test_riesel_mutants_that_stay_coverings():

@@ -619,6 +619,24 @@ def test_tree_matches_a_whole_period_scan(monkeypatch):
     assert got == [check(k, primes) for check, k, primes in calls]
 
 
+def test_mid_size_periods_match_a_whole_period_scan(monkeypatch):
+    # lcms of orders in (2^16, 2^20], whose roots scan their first
+    # period/16 members before the whole period: Selfridge's primes and
+    # 3779 (order 3778) pass at period 68004; the classical Riesel primes
+    # without 17, with 25373 (order 25372), fail at n = 39, period 152232
+    calls = [(verify_sierpinski, sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES + [3779]),
+             (verify_riesel, sd.CLASSICAL_R_B, [3, 5, 7, 13, 241, 25373])]
+    scans, first_uncovered = [], covering._first_uncovered
+    monkeypatch.setattr(covering, "_first_uncovered",
+                        lambda classes, count: scans.append(count) or first_uncovered(classes, count))
+    got = [check(k, primes) for check, k, primes in calls]
+    assert [(r.ok, r.witness, r.period) for r in got] == [(True, None, 68004), (False, 39, 152232)]
+    assert scans == [68004 // 16, 68004, 152232 // 16]
+    monkeypatch.setattr(progression, "_period_check",
+                        functools.partial(reference_period_check, scan=first_uncovered))
+    assert got == [check(k, primes) for check, k, primes in calls]
+
+
 def test_brier_computes_each_order_once(monkeypatch):
     seen = []
     real = progression.multiplicative_order
