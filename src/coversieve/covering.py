@@ -11,22 +11,25 @@ A root of period P above _TILE first scans its first min(_TILE, P/16)
 members, in both verifiers: a gap there is the least witness, found before
 any modulus is factored, any node split or the whole period scanned, as is
 that of every failing one-class-dropped mutant of the embedded coverings;
-a covered root scans at most 1/16 more residues for it.  Past that prefix
-every node, the root included, follows one rule: a node that holds a
-modulus-1 class is covered, a node that fits one _CHUNK, or whose scan
-costs fewer work units than its split, is scanned, and any other node
-splits on the prime q whose classes cover the most of it: the largest sum
-of period/b over its classes with q | b, the classes that the split sends
-to one child each.  The moduli are factored only when a node longer than
-one _CHUNK needs their primes.  Only an integer w changes the root: it
-splits into the slices mod gcd(w, period) when that gcd is above 1;
-w="auto" is the tree alone, as w=1 is.
+a covered root scans at most 1/16 more residues for it.  A root that
+holds a modulus-1 class, or whose period fits one _CHUNK, is answered
+before any tree is built: covered, or by one scan of its period.  Past
+that every node follows one rule: a node that holds a modulus-1 class is
+covered, a node that fits one _CHUNK, or whose scan costs fewer work
+units than its split, is scanned, and any other node splits on the prime
+q whose classes cover the most of it: the largest sum of period/b over
+its classes with q | b, the classes that the split sends to one child
+each.  The moduli are factored only when a node longer than one _CHUNK
+needs their primes.  Only an integer w changes the root: it splits into
+the slices mod gcd(w, period) when that gcd is above 1; w="auto" is the
+tree alone, as w=1 is.
 Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
 by m, into the children it meets; a child that some class contains whole
 is not built, and a node above the least gap found so far is dropped.
-The one scan kernel, shared by both verifiers, marks classes into
-chunked bytearrays in strides, on long scans over copies of a pattern of
-the smallest moduli; witnesses come out identical to the literal scan.
+The one scan kernel, shared by both verifiers, marks classes in strides:
+a scan of at most _TILE residues, every root prefix included, into one
+bytearray, a longer one into chunked bytearrays over copies of a pattern
+of the smallest moduli; witnesses come out identical to the literal scan.
 
 Every size bound is a module constant, the same for every call: NAIVE_CAP
 on the lcm verify_naive scans and WORK_CAP on the work of one
@@ -143,22 +146,28 @@ def _offset_form(system: CoveringSystem) -> tuple[list[tuple[int, int]], int, in
 
 
 def _first_uncovered(classes: list[tuple[int, int]], count: int) -> int | None:
-    """Least t in [0, count) lying in no class, by chunked marking.
+    """Least t in [0, count) lying in no class (a, b), 0 <= a < b.
 
-    Above _TILE residues, the classes with the smallest moduli, while their
-    lcm P stays within _TILE, are marked once into a P-byte pattern; each
-    chunk (a multiple of P long) starts as copies of it, and only the other
-    classes are marked in strides."""
-    period, pattern = 1, bytearray(1)
-    if count > _TILE:
-        classes = sorted(classes, key=lambda c: c[1])
-        bound, tiled = min(_TILE, _CHUNK), 0
-        for _, b in classes:
-            if (lcm := math.lcm(period, b)) > bound:
-                break
-            period, tiled = lcm, tiled + 1
-        pattern = _mark(bytearray(period), 0, classes[:tiled])
-        classes = classes[tiled:]
+    A scan of at most _TILE residues marks each class with a < count
+    straight into one bytearray.  Above that, the classes with the smallest
+    moduli, while their lcm P stays within _TILE, are marked once into a
+    P-byte pattern; each chunk (a multiple of P long) starts as copies of
+    it, and only the other classes are marked in strides."""
+    if count <= _TILE:
+        mask = bytearray(count)
+        for a, b in classes:
+            if a < count:
+                mask[a::b] = b"\x01" * ((count - 1 - a) // b + 1)
+        gap = mask.find(0)
+        return None if gap < 0 else gap
+    classes = sorted(classes, key=lambda c: c[1])
+    period, tiled, bound = 1, 0, min(_TILE, _CHUNK)
+    for _, b in classes:
+        if (lcm := math.lcm(period, b)) > bound:
+            break
+        period, tiled = lcm, tiled + 1
+    pattern = _mark(bytearray(period), 0, classes[:tiled])
+    classes = classes[tiled:]
     step = _CHUNK // period * period
     for lo in range(0, count, step):
         size = min(step, count - lo)
@@ -188,10 +197,10 @@ def _prefix(period: int) -> int:
 def verify_naive(system: CoveringSystem) -> Verdict:
     """Check every member of the target in [0, lcm) directly, in order, and
     stop at the first gap; an lcm above _TILE has its prefix (_prefix)
-    scanned first, as a root of _least_gap does.  Lcms above NAIVE_CAP are
-    refused."""
+    scanned first, as a root of _least_gap does, and an lcm within _TILE
+    is one scan into one bytearray.  Lcms above NAIVE_CAP are refused."""
     classes, M, t = _offset_form(system)
-    ell = lcm_all(b for _, b in classes)
+    ell = math.lcm(*{b for _, b in classes})
     if ell > NAIVE_CAP:
         raise CapacityError(
             f"lcm of moduli is {ell} > cap {NAIVE_CAP}; use verify_partitioned"
@@ -263,20 +272,36 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
     least one, returned before any modulus is factored, any child built or
     the whole period scanned.
 
-    Past that prefix every node, the root (all y) included, is covered if
-    it holds a modulus-1 class.  A node longer than one _CHUNK picks its
-    split m: the root gcd(w, period), every later node, or the root when
-    that gcd is 1, the least prime q with the largest sum of period/b over
-    the node's classes with q | b, taken in integers once per distinct
-    modulus times its class count.  It is scanned if it fits one _CHUNK or
-    its scan costs fewer units than m children (a chunk is 16), so no split
-    is dearer than the scan it replaces; else it splits, charged before any
-    child is built.  Children are built one at a time from iterators on an
+    The root's moduli and period are found once, before any stack is
+    built, and a root that holds a modulus-1 class (covered) or fits one
+    _CHUNK (one scan, after its prefix) is answered there, charged as the
+    loop would charge it: its entries, then its residues.  Past that every
+    node, the root (all y) included, is covered if it holds a modulus-1
+    class.  A node longer than one _CHUNK picks its split m: the root
+    gcd(w, period), every later node, or the root when that gcd is 1, the
+    least prime q with the largest sum of period/b over the node's classes
+    with q | b, taken in integers once per distinct modulus times its class
+    count.  It is scanned if it fits one _CHUNK or its scan costs fewer
+    units than m children (a chunk is 16), so no split is dearer than the
+    scan it replaces; else it splits, charged before any child is built.  Children are built one at a time from iterators on an
     explicit stack, so neither a deep tree nor a large split costs
     recursion, and memory holds one window of children per level.  A
     child's least member u grows with s, so a level is dropped at the first
     child whose u is not below the least gap found so far.
     """
+    work.charge(entries=len(classes))
+    moduli = {b for _, b in classes}
+    if 1 in moduli:
+        return None
+    period = math.lcm(*moduli)
+    if period > _TILE:  # the root's prefix is scanned first
+        work.charge(residues=(n := _prefix(period)))
+        gap = _first_uncovered(classes, n)
+        if gap is not None:
+            return gap
+    if period <= _CHUNK:  # a root within one chunk is one scan
+        work.charge(residues=period)
+        return _first_uncovered(classes, period)
     best = math.inf
     stack = [iter([(classes, 0, 1)])]
     while stack:
@@ -285,19 +310,15 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
             stack.pop()
             continue
         classes, u, step = node
-        work.charge(entries=len(classes))
-        if u >= best:
-            stack.pop()  # neither this child nor a later one is below best
-            continue
-        moduli = {b for _, b in classes}
-        if 1 in moduli:
-            continue
-        period = math.lcm(*moduli)
-        if step == 1 and period > _TILE:  # the root, whose prefix is scanned first
-            work.charge(residues=(n := _prefix(period)))
-            gap = _first_uncovered(classes, n)
-            if gap is not None:
-                return gap
+        if step > 1:  # every node but the root, charged and sized above
+            work.charge(entries=len(classes))
+            if u >= best:
+                stack.pop()  # neither this child nor a later one is below best
+                continue
+            moduli = {b for _, b in classes}
+            if 1 in moduli:
+                continue
+            period = math.lcm(*moduli)
         if period > _CHUNK:
             m, w = math.gcd(w, period), 1  # only the first split is by w
             if m == 1:  # the prime whose classes cover the most of the node
@@ -358,12 +379,14 @@ def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict
     and least witness as verify_naive.  More than WORK_CAP units of work,
     the slices included, is refused with CapacityError.
     """
-    if isinstance(w, str) and w != "auto":
+    if w == "auto":
+        w = 1
+    elif isinstance(w, str):
         raise ValueError(f"w must be an integer or 'auto', got {w!r}")
-    if not isinstance(w, str) and w < 1:
+    elif w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     classes, M, t = _offset_form(system)
-    gap = _least_gap(classes, 1 if w == "auto" else w, _Work(classes))
+    gap = _least_gap(classes, w, _Work(classes))
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)

@@ -226,6 +226,124 @@ def test_check_fuzz_exits_with_an_answer_or_one_error(argv):
     assert code != 2 or (out.getvalue() == "" and err.getvalue().startswith("error:"))
 
 
+_HOSTILE = st.one_of(st.sampled_from((0, 1, -1, 2, -2, 3, 4, 6, 10, 12, 16, 31, 101, 257)),
+                     st.integers(-10**6, 10**6))
+_SMALL = st.one_of(st.sampled_from((0, 1, -1, 2, 4, 9, 15, 91, -7)),
+                   st.sampled_from((3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 127, 241, 257, 65537)))
+
+
+@st.composite
+def integer_file(draw):
+    """An integer-list file: lines of small integers, primes or not, with
+    comments or a stray word, undecodable bytes, a directory or nothing."""
+    kind = draw(st.integers(0, 6))
+    if kind == 0:
+        return draw(st.sampled_from(("directory", "missing")))
+    if kind == 1:
+        return draw(st.binary(max_size=8)) + b"\xff\xfe\x80\n"
+    lines = [str(n) for n in draw(st.lists(_SMALL, max_size=6))]
+    if kind == 2:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("# note", "x", "1.5", "3 5"))))
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+# (ord_p(2), p) for small primes p
+_ORDERS = ((2, 3), (4, 5), (3, 7), (10, 11), (12, 13), (8, 17), (18, 19), (5, 31), (36, 37),
+           (20, 41), (9, 73), (7, 127), (24, 241), (16, 257), (32, 65537))
+
+
+@st.composite
+def assignment_file(draw):
+    """A builder's file: the classical Sierpinski covering, or classes bound
+    by p= to a prime of their modulus' order, to one of another order, or
+    to a small integer that may not be prime; now and then an i= tag."""
+    if draw(st.integers(0, 4)) == 0:
+        rows = list(sd.CLASSICAL_S_ASSIGNMENT)
+    else:
+        rows = []
+        for b, p in draw(st.lists(st.sampled_from(_ORDERS), min_size=1, max_size=6)):
+            p = draw(st.sampled_from((p, p, p, draw(_SMALL))))
+            rows.append((draw(st.integers(-50, 50)), b, p))
+    lines = [f"{a} {b} " + ("i=1" if draw(st.integers(0, 19)) == 0 else f"p={p}") for a, b, p in rows]
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+@st.composite
+def subcommand_argv(draw):
+    """argv of order, cyclo, shift, build, combine or check with hostile
+    integers (0, 1, negatives, even numbers, divisors of the base), moduli
+    below 10^6 and --b up to 200 (24 when it factors), plus the files it
+    names: {name: bytes, "directory" or "missing"}, each named in argv as
+    a format field "{name}"."""
+    files = {}
+
+    def file(content):
+        files[name := f"f{len(files)}"] = content
+        return f"{{{name}}}"
+
+    cmd = draw(st.sampled_from(("order", "cyclo", "shift", "build", "combine", "check")))
+    argv = [cmd]
+    if cmd == "order":
+        mod = draw(st.one_of(_HOSTILE, _SMALL, st.sampled_from((999983, 65537))))
+        base = draw(st.one_of(_HOSTILE, st.integers(-3, 3).map(lambda k: k * mod)))
+        argv += ["--base", base, "--mod", mod]
+    elif cmd == "cyclo":
+        factor = draw(st.booleans())
+        argv += ["--b", draw(st.integers(-3, 24 if factor else 200))]
+        if draw(st.integers(0, 5)):
+            argv += ["--eval", draw(st.integers(-4, 12) if factor else _HOSTILE)]
+        if factor:
+            argv += ["--factor"]
+            if draw(st.booleans()):
+                argv += ["--exclude", file(draw(integer_file()))]
+    elif cmd == "shift":
+        small = st.integers(1, 300)
+        argv += ["--A", draw(st.one_of(_HOSTILE, small)), "--B", draw(st.one_of(_HOSTILE, small)),
+                 "--base", draw(st.one_of(_HOSTILE, st.integers(2, 12)))]
+    elif cmd == "build":
+        argv += ["--kind", draw(st.sampled_from(("sierpinski", "riesel"))),
+                 "--assignments", file(draw(assignment_file()))]
+    elif cmd == "combine":
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(("sierpinski", "riesel", "brier", "")))
+            argv += ["--part", f"{kind}:{file(draw(assignment_file()))}" if draw(st.integers(0, 7)) else kind]
+    else:
+        argv += ["--kind", draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2"))),
+                 "--k", draw(st.integers(-3, 300)), "--base", draw(st.integers(-1, 12)),
+                 "--primes", file(draw(integer_file()))]
+        if draw(st.booleans()):
+            argv += ["--primes-riesel", file(draw(integer_file()))]
+    if cmd in ("build", "combine") and draw(st.booleans()):
+        argv.append("--diagnostic")
+    if cmd in ("order", "cyclo", "check") and draw(st.integers(0, 3)) == 0:
+        argv += ["--effort", draw(st.sampled_from((-1, 0, 1, 100)))]
+    return argv, files
+
+
+@given(subcommand_argv())
+@settings(max_examples=100, deadline=None)
+def test_subcommand_fuzz_exits_with_an_answer_or_one_error(drawn):
+    argv, files = drawn
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name) for name in files}
+        for name, content in files.items():
+            if content == "directory":
+                os.mkdir(paths[name])
+            elif content != "missing":
+                with open(paths[name], "wb") as fh:
+                    fh.write(content)
+        argv = [str(a).format(**paths) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == ""
+
+
 _DIVISORS = [d for d in range(1, 361) if 831600 % d == 0]
 
 

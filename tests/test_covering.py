@@ -567,7 +567,62 @@ def test_first_uncovered_matches_literal_scan(monkeypatch, limits):
             count = rng.randint(tile + 1, tile + 3000)
         else:
             count = rng.randint(1, min(4 * tile, 3000))
-        assert covering._first_uncovered(classes, count) == _literal_gap(classes, count)
+        # the boundaries of the one-bytearray scan, on every sixth class
+        # list: one residue, exactly one tile and one past it
+        for n in (count, 1, tile, tile + 1) if i % 6 == 0 else (count,):
+            assert covering._first_uncovered(classes, n) == _literal_gap(classes, n)
+    # classes that start at or past the end of the scan mark nothing, and
+    # no class leaves every member uncovered
+    for count in (1, 5, covering._TILE, covering._TILE + 1):
+        late = [(count, count + 3), (count + 1, count + 2), (count + 6, 1 << 21)]
+        assert covering._first_uncovered(late, count) == 0
+        assert covering._first_uncovered(late + [(0, 1)], count) is None
+        assert covering._first_uncovered([(0, 2)] + late, count) == (1 if count > 1 else None)
+        assert covering._first_uncovered([], count) == 0
+
+
+def _spy_root(monkeypatch):
+    """Records every charge, split and scan of the verifiers."""
+    calls = []
+    charge, children, first_uncovered = covering._Work.charge, covering._children, covering._first_uncovered
+    def spy_charge(self, nodes=0, entries=0, residues=0):
+        calls.append(("charge", nodes, entries, residues))
+        charge(self, nodes, entries, residues)
+    def spy_children(*args):
+        calls.append(("children",))
+        return children(*args)
+    def spy_scan(classes, count):
+        calls.append(("scan", count))
+        return first_uncovered(classes, count)
+    monkeypatch.setattr(covering._Work, "charge", spy_charge)
+    monkeypatch.setattr(covering, "_children", spy_children)
+    monkeypatch.setattr(covering, "_first_uncovered", spy_scan)
+    return calls
+
+
+def test_root_within_one_tile_is_one_charged_scan(monkeypatch):
+    # a root of period at most _TILE is answered before any tree: its class
+    # entries are charged, then its residues, and its period is scanned once
+    calls = _spy_root(monkeypatch)
+    rng = random.Random(16)
+    for s in [c0_system(), system(TABLE1_CLASSES), system([(0, 1 << 16)]), system([(3, 7)])] + [
+            s for s in (_random_system(rng) for _ in range(40))
+            if lcm_of_moduli(s) <= covering._TILE and 1 not in s.moduli()]:
+        period = lcm_of_moduli(s)
+        want = _literal_verdict(s)
+        for w in ("auto", 1, 6, 30):
+            calls.clear()
+            assert verify_partitioned(s, w=w) == want
+            assert calls == [("charge", 0, len(s.classes), 0), ("charge", 0, 0, period), ("scan", period)]
+
+
+def test_root_with_a_modulus_one_class_is_covered_without_a_scan(monkeypatch):
+    calls = _spy_root(monkeypatch)
+    for pairs in [(0, 1)], [(1, 2), (0, 1)], [(5, 1 << 20), (0, 1), (7, 1048583 * 1048601)]:
+        for w in ("auto", 1, 30):
+            calls.clear()
+            assert verify_partitioned(system(pairs), w=w) == Verdict(True)
+            assert calls == [("charge", 0, len(pairs), 0)]
 
 
 def test_single_gap_past_the_first_chunk():
