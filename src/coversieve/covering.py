@@ -14,18 +14,19 @@ that of every failing one-class-dropped mutant of the embedded coverings;
 a covered root scans at most 1/16 more residues for it.  A root that
 holds a modulus-1 class, or whose period fits one _CHUNK, is answered
 before any tree is built: covered, or by one scan of its period.  Past
-that every node follows one rule: a node that holds a modulus-1 class is
-covered, a node that fits one _CHUNK, or whose scan costs fewer work
-units than its split, is scanned, and any other node splits on the prime
-q whose classes cover the most of it: the largest sum of period/b over
-its classes with q | b, the classes that the split sends to one child
-each.  The moduli are factored only when a node longer than one _CHUNK
-needs their primes.  Only an integer w changes the root: it splits into
-the slices mod gcd(w, period) when that gcd is above 1; w="auto" is the
-tree alone, as w=1 is.
-Every split rewrites a class (a, b) once, by g = gcd(b, m) for a split
-by m, into the children it meets; a child that some class contains whole
-is not built, and a node above the least gap found so far is dropped.
+that every node follows one rule: a node that fits one _CHUNK, or whose
+scan costs fewer work units than its split, is scanned, and any other
+node splits on the prime q whose classes cover the most of it: the
+largest sum of period/b over its classes with q | b, the classes that
+the split sends to one child each.  The moduli are factored only when a
+node longer than one _CHUNK needs their primes.  Only an integer w
+changes the root: it splits into the slices mod gcd(w, period) when that
+gcd is above 1; w="auto" is the tree alone, as w=1 is.
+A node keeps its classes as the root has them, grouped by modulus: a
+split by m hands a group whose modulus in the node is prime to m to each
+child as it is, buckets any other once by residue, and builds no child
+that a class contains whole; only a scanned node rewrites its classes,
+and a node above the least gap found so far is dropped.
 The one scan kernel, shared by both verifiers, marks classes in strides:
 a scan of at most _TILE residues, every root prefix included, into one
 bytearray, a longer one into chunked bytearrays over copies of a pattern
@@ -43,8 +44,8 @@ CapacityError.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .modarith import CapacityError, factor, lcm_all
 
@@ -275,15 +276,19 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
     The root's moduli and period are found once, before any stack is
     built, and a root that holds a modulus-1 class (covered) or fits one
     _CHUNK (one scan, after its prefix) is answered there, charged as the
-    loop would charge it: its entries, then its residues.  Past that every
-    node, the root (all y) included, is covered if it holds a modulus-1
-    class.  A node longer than one _CHUNK picks its split m: the root
-    gcd(w, period), every later node, or the root when that gcd is 1, the
-    least prime q with the largest sum of period/b over the node's classes
-    with q | b, taken in integers once per distinct modulus times its class
-    count.  It is scanned if it fits one _CHUNK or its scan costs fewer
-    units than m children (a chunk is 16), so no split is dearer than the
-    scan it replaces; else it splits, charged before any child is built.  Children are built one at a time from iterators on an
+    loop would charge it: its entries, then its residues.  Past that a
+    node y = u (mod step) holds groups (b, b', residues), the root's built
+    once it picks a prime or splits: the a of each class (a, b) that meets
+    the node, b' = b/gcd(b, step); its entries are the residues, its period
+    the lcm of the b'.  A node longer than one _CHUNK picks its split m:
+    the root gcd(w, period), every later node, or the root when that gcd is
+    1, the least prime q with the largest sum of period/b' * len(residues)
+    over its groups with q | b'.  It is scanned if it fits one _CHUNK or
+    its scan costs fewer units than m children (a chunk is 16), so no split
+    is dearer than the scan it replaces; else it splits, charged before any
+    child is built.  A scanned node rewrites its classes as
+    ((a - u)/h * (step/h)^-1 mod b', b'), h = b/b', each inverse taken once
+    per (step, b).  Children are built one at a time from iterators on an
     explicit stack, so neither a deep tree nor a large split costs
     recursion, and memory holds one window of children per level.  A
     child's least member u grows with s, so a level is dropped at the first
@@ -303,71 +308,81 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
         work.charge(residues=period)
         return _first_uncovered(classes, period)
     best = math.inf
-    stack = [iter([(classes, 0, 1)])]
+    inverse = cache(lambda step, b: (h := math.gcd(b, step), pow(step // h, -1, b // h)))
+    stack = [iter([(None, 0, 1)])]  # the root is grouped once it picks a prime or splits
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        classes, u, step = node
+        groups, u, step = node
         if step > 1:  # every node but the root, charged and sized above
-            work.charge(entries=len(classes))
+            work.charge(entries=sum(len(rs) for _, _, rs in groups))
             if u >= best:
                 stack.pop()  # neither this child nor a later one is below best
                 continue
-            moduli = {b for _, b in classes}
-            if 1 in moduli:
-                continue
-            period = math.lcm(*moduli)
+            period = math.lcm(*{bp for _, bp, _ in groups})
         if period > _CHUNK:
             m, w = math.gcd(w, period), 1  # only the first split is by w
             if m == 1:  # the prime whose classes cover the most of the node
-                count = Counter(b for _, b in classes).items()
-                m = max(work.primes(),
-                        key=lambda q: sum(period // b * k for b, k in count if b % q == 0))
+                groups = groups or _grouped(classes)
+                m = max(work.primes(), key=lambda q: sum(
+                    period // bp * len(rs) for _, bp, rs in groups if bp % q == 0))
         if period <= _CHUNK or period < m * (_CHUNK >> 4):  # a chunk is 16 units
             work.charge(residues=period)
+            if step > 1:  # the root's classes are in its own coordinate
+                classes = [((a - u) // h * inv % bp, bp) for b, bp, rs in groups
+                           for h, inv in [inverse(step, b)] for a in rs]
             gap = _first_uncovered(classes, period)
             if gap is not None:
                 best = min(best, u + step * gap)
             continue
         work.charge(nodes=m)
-        stack.append(_children(classes, u, step, m))
+        stack.append(_children(groups or _grouped(classes), u, step, m))
     return None if best == math.inf else best
 
 
-def _children(classes: list[tuple[int, int]], u: int, w: int, m: int):
-    """The children (classes, u + w*s, w*m), s in [0, m), of the node
-    (classes, u, w), each in its own coordinate z, y = s + m*z, leaving out
-    each child that some class contains whole.
-
-    A class (a, b) meets exactly the children s ≡ a (mod g), g = gcd(b, m).
-    If g = b it contains them whole; otherwise it is filed once, under
-    (g, a mod g), and becomes ((a - s)/g * (m/g)^-1 mod b/g, b/g) in each,
-    where (a - s)/g = a//g - s//g.  Children are collected _SLICES at a
-    time.
-    """
-    index, whole = {}, set()
+def _grouped(classes: list[tuple[int, int]]) -> list[tuple[int, int, list[int]]]:
+    """The root's groups (b, b, residues), one per modulus b."""
+    residues = {}
     for a, b in classes:
-        g = math.gcd(b, m)
-        if g == b:
-            whole.add((g, a % g))
-        else:
-            # m/g = 1 for most classes of a prime split: no inverse to take
-            inv = pow(m // g, -1, b // g) if g < m else 1
-            index.setdefault((g, a % g), []).append((a // g, b // g, inv))
+        residues.setdefault(b, []).append(a)
+    return [(b, b, rs) for b, rs in residues.items()]
+
+
+def _children(groups: list[tuple[int, int, list[int]]], u: int, step: int, m: int):
+    """The children (groups, u + step*s, step*m), s in [0, m), of the node
+    (groups, u, step) that no class contains whole (see _least_gap).
+
+    A group (b, b', residues) with gcd(b', m) = 1 goes into every child
+    with the same residues list.  Any other, with g = gcd(b', m) and
+    h = b/b', is bucketed once by a mod h*g: the bucket of key r meets the
+    children s ≡ (r - u)/h * (step/h)^-1 (mod g) and goes into each as the
+    group (b, b'/g, bucket), or, if g = b', contains them whole.  Children
+    are collected _SLICES at a time.
+    """
+    same, index, whole = [], [], []
+    for b, bp, rs in groups:
+        if (g := math.gcd(bp, m)) == 1:
+            same.append((b, bp, rs))
+            continue
+        h, buckets = b // bp, {}
+        for a in rs:
+            buckets.setdefault(a % (h * g), []).append(a)
+        inv = pow(step // h, -1, g)
+        for r, bucket in buckets.items():
+            (index if g < bp else whole).append((g, (r - u) // h * inv % g, (b, bp // g, bucket)))
     for lo in range(0, m, _SLICES):
-        subs = [[] for _ in range(min(_SLICES, m - lo))]
-        for (g, r), bucket in index.items():
-            for i in range((r - lo) % g, len(subs), g):
-                subs[i].append(((lo + i) // g, bucket))
-        for g, r in whole:
-            for i in range((r - lo) % g, len(subs), g):
+        subs = [same.copy() for _ in range(min(_SLICES, m - lo))]
+        for g, s, group in index:
+            for i in range((s - lo) % g, len(subs), g):
+                subs[i].append(group)
+        for g, s, _ in whole:
+            for i in range((s - lo) % g, len(subs), g):
                 subs[i] = None
         for s, sub in enumerate(subs, lo):
             if sub is not None:
-                child = [((q - k) * inv % bp, bp) for k, bucket in sub for q, bp, inv in bucket]
-                yield child, u + w * s, w * m
+                yield sub, u + step * s, step * m
 
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:

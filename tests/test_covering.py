@@ -213,12 +213,14 @@ def test_work_bound(monkeypatch):
 
 
 def test_root_split_beyond_the_bound_is_refused(monkeypatch):
-    # the root split by gcd(w, lcm) is charged before any child is built
-    # or scanned: the whole lcm, and 7800 children under a bound of 780;
-    # the one scan of each call is the root's prefix, which finds no gap
+    # the root split by gcd(w, lcm) is charged before any child is built,
+    # any class grouped or anything scanned: the whole lcm, and 7800
+    # children under a bound of 780; the one scan of each call is the
+    # root's prefix, which finds no gap
     s = appendix_data().cov_sier.system
     calls = []
     monkeypatch.setattr(covering, "_children", lambda *args: calls.append(args))
+    monkeypatch.setattr(covering, "_grouped", lambda *args: calls.append(args))
     monkeypatch.setattr(covering, "_first_uncovered", lambda classes, count: calls.append(count))
     with pytest.raises(CapacityError, match=f"more than {covering.WORK_CAP} work units"):
         verify_partitioned(s, w=10 * APPENDIX_S_LCM)
@@ -478,14 +480,15 @@ def test_random_systems_split_on_the_prime_covering_the_most(monkeypatch):
     # systems reach the residue tree's splits.  Every width gives the
     # naive verdict, and at w="auto" each split is on the least prime q
     # whose classes cover the most of the node: the largest sum of
-    # period/b over its classes with q | b
+    # period/b' * len(residues) over its groups (b, b', residues) with
+    # q | b', b' being a modulus in the node's own coordinate
     monkeypatch.setattr(covering, "_CHUNK", 8)
     monkeypatch.setattr(covering, "_TILE", 1)
     splits = []
     children = covering._children
-    def spy(classes, u, w, m):
-        splits.append((classes, m))
-        return children(classes, u, w, m)
+    def spy(groups, u, w, m):
+        splits.append((groups, m))
+        return children(groups, u, w, m)
     monkeypatch.setattr(covering, "_children", spy)
     rng = random.Random(4817)
     checked = 0
@@ -496,12 +499,82 @@ def test_random_systems_split_on_the_prime_covering_the_most(monkeypatch):
             assert verify_partitioned(s, w=w) == vn
         splits.clear()
         assert verify_partitioned(s) == vn
-        for classes, m in splits:
-            period = math.lcm(*(b for _, b in classes))
-            primes = sorted({q for _, b in classes for q, _ in factor(b).factors})
-            share = [sum(period // b for _, b in classes if b % q == 0) for q in primes]
+        for groups, m in splits:
+            period = math.lcm(*(bp for _, bp, _ in groups))
+            primes = sorted({q for _, bp, _ in groups for q, _ in factor(bp).factors})
+            share = [sum(period // bp * len(rs) for _, bp, rs in groups if bp % q == 0)
+                     for q in primes]
             assert m == primes[share.index(max(share))]
         checked += len(splits)
+    assert checked > 200
+
+
+def test_prime_split_hands_children_the_groups_it_leaves_alone(monkeypatch):
+    # a node keeps its classes as the root has them, grouped by modulus: a
+    # split by a prime q hands every child it builds the very residue list
+    # of each group whose modulus in the node q does not divide, uncopied
+    children = covering._children
+    kept = []
+    def spy(groups, u, step, m):
+        alone = [rs for _, bp, rs in groups if bp % m]
+        for child in children(groups, u, step, m):
+            held = [rs for _, _, rs in child[0]]
+            assert all(any(r is rs for r in held) for rs in alone)
+            kept.append(len(alone))
+            yield child
+    monkeypatch.setattr(covering, "_children", spy)
+    data = appendix_data()
+    for s in (data.cov_sier.system, data.cov_ries.system):
+        kept.clear()
+        assert verify_partitioned(s) == Verdict(True)
+        assert len(kept) > 40 and sum(kept) > 500
+    monkeypatch.setattr(covering, "_CHUNK", 8)
+    monkeypatch.setattr(covering, "_TILE", 1)
+    rng = random.Random(1729)
+    kept.clear()
+    for _ in range(60):
+        s = _random_system(rng)
+        assert verify_partitioned(s) == verify_naive(s)
+    assert sum(kept) > 100
+
+
+def test_scanned_node_holds_the_literal_rewrite_of_the_classes_meeting_it(monkeypatch):
+    # a node y = u (mod step) rewrites its classes only when it is scanned:
+    # it must then hold, for each class (a, b) with a member u + step*z,
+    # the class (least such z, b/gcd(b, step)), found here by trying every
+    # z below b.  Each scan past the root's is of the child yielded just
+    # before it
+    monkeypatch.setattr(covering, "_CHUNK", 8)
+    monkeypatch.setattr(covering, "_TILE", 1)
+    node, scanned = [None], []
+    children, first_uncovered = covering._children, covering._first_uncovered
+    def spy_children(*args):
+        for child in children(*args):
+            node[0] = child[1:]
+            yield child
+    def spy_scan(classes, count):
+        if node[0] is not None:
+            scanned.append((node[0], sorted(classes)))
+        return first_uncovered(classes, count)
+    monkeypatch.setattr(covering, "_children", spy_children)
+    monkeypatch.setattr(covering, "_first_uncovered", spy_scan)
+    rng = random.Random(2029)
+    checked = 0
+    for _ in range(200):
+        s = _random_system(rng)
+        pairs = [(c.a, c.b) for c in s.classes]
+        for w in ("auto", 1, 7, 30):
+            node[0] = None
+            scanned.clear()
+            verify_partitioned(s, w=w)
+            for (u, step), classes in scanned:
+                want = []
+                for a, b in pairs:
+                    zs = [z for z in range(b) if (u + step * z - a) % b == 0]
+                    if zs:
+                        want.append((zs[0], b // math.gcd(b, step)))
+                assert classes == sorted(want)
+            checked += len(scanned)
     assert checked > 200
 
 
@@ -535,6 +608,27 @@ def test_auto_is_the_tree_alone(monkeypatch):
         assert verify_partitioned(s) == verify_partitioned(s, w=1) == Verdict(True)
         assert spent[-2] == spent[-1]
     assert spent[-1] < 1000 << 16
+
+
+@pytest.mark.parametrize("name, w, spent", [
+    ("sierpinski", "auto", 11_769_998), ("sierpinski", 780, 69_881_811),
+    ("sierpinski", 660, 754_084_622), ("riesel", "auto", 46_557_270),
+    ("riesel", 780, 78_589_606), ("riesel", 660, 78_290_945), ("lift", "auto", 16_201_870)])
+def test_work_spent_on_the_coverings(monkeypatch, name, w, spent):
+    # the exact work, in residues, of both coverings and of the lift: the
+    # tree's shape, its splits and scans and so every WORK_CAP charge
+    # depend on nothing but the classes and w
+    least_gap, spy = covering._least_gap, []
+    def spy_least_gap(classes, w, work):
+        gap = least_gap(classes, w, work)
+        spy.append(work.spent)
+        return gap
+    monkeypatch.setattr(covering, "_least_gap", spy_least_gap)
+    data = appendix_data()
+    s = {"sierpinski": data.cov_sier.system, "riesel": data.cov_ries.system,
+         "lift": system(_lifted_classes()) if name == "lift" else None}[name]
+    assert verify_partitioned(s, w=w) == Verdict(True)
+    assert spy == [spent]
 
 
 def _literal_gap(classes, count):
@@ -582,9 +676,13 @@ def test_first_uncovered_matches_literal_scan(monkeypatch, limits):
 
 
 def _spy_root(monkeypatch):
-    """Records every charge, split and scan of the verifiers."""
+    """Records every charge, grouping, split and scan of the verifiers."""
     calls = []
     charge, children, first_uncovered = covering._Work.charge, covering._children, covering._first_uncovered
+    grouped = covering._grouped
+    def spy_grouped(classes):
+        calls.append(("grouped",))
+        return grouped(classes)
     def spy_charge(self, nodes=0, entries=0, residues=0):
         calls.append(("charge", nodes, entries, residues))
         charge(self, nodes, entries, residues)
@@ -597,6 +695,7 @@ def _spy_root(monkeypatch):
     monkeypatch.setattr(covering._Work, "charge", spy_charge)
     monkeypatch.setattr(covering, "_children", spy_children)
     monkeypatch.setattr(covering, "_first_uncovered", spy_scan)
+    monkeypatch.setattr(covering, "_grouped", spy_grouped)
     return calls
 
 
@@ -664,8 +763,9 @@ def test_mutant_gap_in_the_prefix_needs_no_factoring_and_no_split(monkeypatch, n
     i, x = next((i, x) for i, x in gaps if x is not None)
     assert x < covering._TILE
     def refuse(*args):
-        raise AssertionError("a modulus was factored or a node split")
+        raise AssertionError("a modulus was factored, a class grouped or a node split")
     monkeypatch.setattr(covering, "factor", refuse)
+    monkeypatch.setattr(covering, "_grouped", refuse)
     monkeypatch.setattr(covering, "_children", refuse)
     mutant = system(classes[:i] + classes[i + 1:])
     for w in ("auto", 1, 30):
