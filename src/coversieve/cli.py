@@ -11,7 +11,6 @@ identical runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from .covering import (
     verify_partitioned,
 )
 from .cyclotomic import cyclotomic_value, load_exclusions, primes_of_order
-from .modarith import Budget, factor, is_probable_prime, multiplicative_order
+from .modarith import factor, is_probable_prime, multiplicative_order
 from .progression import (
     CombineConflictError,
     PrimeAssignment,
@@ -41,13 +40,6 @@ from .progression import (
 )
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
-EFFORT_ENV = "COVERSIEVE_EFFORT"
-
-
-def _budget(effort: int | None) -> Budget:
-    if effort is None:
-        effort = int(os.environ.get(EFFORT_ENV, Budget().trial_limit))
-    return Budget(trial_limit=effort)
 
 
 def _emit(pairs: list[tuple[str, object]], fmt: str):
@@ -96,7 +88,7 @@ def cmd_order(args) -> int:
     if not is_probable_prime(args.mod):
         print(f"error: {args.mod} is not prime", file=sys.stderr)
         return USAGE
-    e = multiplicative_order(args.base, args.mod, budget=_budget(args.effort))
+    e = multiplicative_order(args.base, args.mod)
     _emit([("base", args.base), ("mod", args.mod), ("order", e)], args.format)
     return PASS
 
@@ -118,16 +110,15 @@ def cmd_cyclo(args) -> int:
     except ValueError:  # above Python's int-to-str digit limit
         pairs.append(("note", "value too large to print"))
     if args.factor:
-        budget = _budget(args.effort)
         exclude = load_exclusions(args.exclude) if args.exclude else frozenset()
         if args.eval in (2, 10):
-            ops = primes_of_order(args.b, args.eval, budget, exclude)
+            ops = primes_of_order(args.b, args.eval, exclude=exclude)
             pairs.append(("primes", "*".join(str(p) for p in ops.primes)))
             pairs.append(("complete", int(ops.complete)))
             if not ops.complete:
                 pairs.append(("unfactored", ops.unfactored_cofactor))
         else:
-            f = factor(value, budget)
+            f = factor(value)
             pairs.append(
                 ("factors", "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors))
             )
@@ -138,22 +129,21 @@ def cmd_cyclo(args) -> int:
 
 def cmd_check(args) -> int:
     primes = dataset.load_primes_file(args.primes) if args.primes else []
-    budget = _budget(args.effort)
     if args.kind in ("brier", "base2"):
         if not args.primes_riesel:
             print("error: --primes-riesel required for this kind", file=sys.stderr)
             return USAGE
         primes_r = dataset.load_primes_file(args.primes_riesel)
     if args.kind == "sierpinski":
-        res = verify_sierpinski(args.k, primes, budget)
+        res = verify_sierpinski(args.k, primes)
     elif args.kind == "riesel":
-        res = verify_riesel(args.k, primes, budget)
+        res = verify_riesel(args.k, primes)
     elif args.kind == "brier":
-        res = verify_brier(args.k, primes, primes_r, budget)
+        res = verify_brier(args.k, primes, primes_r)
     elif args.kind == "digit":
-        res = verify_digit_robust(args.k, primes, args.base, budget)
+        res = verify_digit_robust(args.k, primes, args.base)
     else:
-        res = verify_base2_delicate(args.k, primes, primes_r, budget)
+        res = verify_base2_delicate(args.k, primes, primes_r)
     pairs = [("kind", args.kind), ("k", args.k), ("ok", int(res.ok))]
     if args.kind == "brier":
         pairs.append(("sierpinski.ok", int(res.sierpinski.ok)))
@@ -282,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="multiplicative order of a base mod a prime")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--effort", type=int)
     _add_common(p)
     p.set_defaults(fn=cmd_order)
 
@@ -290,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--eval", type=int)
     p.add_argument("--factor", action="store_true")
-    p.add_argument("--effort", type=int)
     p.add_argument("--exclude")
     _add_common(p)
     p.set_defaults(fn=cmd_cyclo)
@@ -301,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True)
     p.add_argument("--primes-riesel")
     p.add_argument("--base", type=int, default=10)
-    p.add_argument("--effort", type=int)
     _add_common(p)
     p.set_defaults(fn=cmd_check)
 

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .modarith import CapacityError, factor, lcm_all
+from .modarith import CapacityError, factor
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
@@ -113,7 +113,7 @@ class Verdict:
 
 
 def lcm_of_moduli(system: CoveringSystem) -> int:
-    return lcm_all(system.moduli())
+    return math.lcm(*system.moduli())
 
 
 def satisfying_class(system: CoveringSystem, n: int) -> ResidueClass | None:

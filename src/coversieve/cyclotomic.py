@@ -4,7 +4,8 @@ The b-th cyclotomic polynomial evaluated at 2 (or 10) is the source of
 primes p with ord_p(base) = b: every prime divisor of the value either
 divides b or has multiplicative order exactly b.  Enumerating such primes
 is how covering moduli get matched to sieving primes.  Indices above the
-fixed INDEX_CAP are refused with CapacityError.
+fixed INDEX_CAP, and values whose Möbius product passes EVAL_BITS, are
+refused with CapacityError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass, replace
 from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
 
 INDEX_CAP = 20000  # largest index b whose Φ_b is built or evaluated
+# largest numerator of the Möbius quotient, in bits, that cyclotomic_value
+# forms: about a second of big-integer products and one division, and far
+# above the 123,840 bits of the largest Φ_b(10) with b <= INDEX_CAP
+EVAL_BITS = 10**6
 
 
 @dataclass(frozen=True)
@@ -101,15 +106,24 @@ def cyclotomic_coeffs(b: int) -> CyclotomicPoly:
 
 def cyclotomic_value(b: int, x0: int) -> int:
     """Exact Φ_b(x0) without materializing coefficients (for |x0| >= 2 the
-    Möbius product is taken as a quotient of big integers)."""
+    Möbius product is taken as a quotient of big integers).  A numerator
+    of more than EVAL_BITS bits, prod x0**(b/d) - 1 over μ(d) = 1, is
+    refused before any power is taken."""
     if b < 1:
         raise ValueError(f"index must be >= 1, got {b}")
     if b > INDEX_CAP:
         raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
     if abs(x0) <= 1:
         return cyclotomic_coeffs(b)(x0)
+    divisors = _squarefree_divisors_mu(b)
+    bits = sum(b // d for d, mu in divisors if mu == 1) * abs(x0).bit_length()
+    if bits > EVAL_BITS:
+        raise CapacityError(
+            f"Φ_{b} at a {abs(x0).bit_length()}-bit point needs a product of "
+            f"{bits} bits, above cap {EVAL_BITS}"
+        )
     num = den = 1
-    for d, mu in _squarefree_divisors_mu(b):
+    for d, mu in divisors:
         t = x0 ** (b // d) - 1
         if mu == 1:
             num *= t

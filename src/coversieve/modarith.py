@@ -2,8 +2,8 @@
 
 Multiplicative orders, generalized CRT over non-coprime moduli,
 deterministic primality testing, and effort-bounded factorization.
-Everything here is a pure function of its inputs plus an explicit budget,
-so results are reproducible and safe to call from multiple threads.
+Everything here is a pure function of its inputs, a factoring budget
+included, so results are reproducible and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -57,14 +57,14 @@ class Budget:
     factor() told that every prime of n is 1 (mod order) spends fewer
     rounds of x^e + c for the same reach.  rho_rounds also sets the p-1
     stage-1 bound, B1 = rho_rounds // 8, so that stage costs under a tenth
-    of one failed restart on x^2 + c.  A fixed budget and seed make
-    factor() fully deterministic.
+    of one failed restart on x^2 + c.  Rho draws its starts from a fixed
+    stream seeded by n, so a fixed budget makes factor() fully
+    deterministic.
     """
 
     trial_limit: int = 1_000_000
     rho_rounds: int = 500_000
     rho_restarts: int = 8
-    seed: int = 1
 
 
 DEFAULT_BUDGET = Budget()
@@ -287,15 +287,15 @@ def _pm1(n: int, bound: int) -> int | None:
     return g if 1 < g < n else None
 
 
-def _brent_rho(n: int, rounds: int, restarts: int, seed: int, e: int) -> int | None:
+def _brent_rho(n: int, rounds: int, restarts: int, e: int) -> int | None:
     """One nontrivial factor of composite n, or None within budget.
 
     Brent's cycle search on the map y -> y^e + c (Brent & Pollard, Math.
     Comp. 36, 1981); e = 2 is the classical x^2 + c."""
     if n % 2 == 0:
         return 2
-    # deterministic LCG stream seeded from (seed, n)
-    state = (seed * 0x9E3779B97F4A7C15 + n) % (1 << 64) or 1
+    # deterministic LCG stream seeded from n
+    state = (0x9E3779B97F4A7C15 + n) % (1 << 64) or 1
 
     def nxt():
         nonlocal state
@@ -373,9 +373,7 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(
-            m, rounds, budget.rho_restarts, budget.seed, e
-        )
+        d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(m, rounds, budget.rho_restarts, e)
         if d is None:
             cofactor *= m
             continue
@@ -384,10 +382,10 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
     return FactorizationResult(tuple(sorted(counts.items())), cofactor)
 
 
-def multiplicative_order(g: int, p: int, budget: Budget = DEFAULT_BUDGET) -> int:
+def multiplicative_order(g: int, p: int) -> int:
     """Least e >= 1 with g**e ≡ 1 (mod p), for prime p.
 
-    Factors p-1 under the budget; refuses to guess from a partial
+    Factors p-1 under the default budget; refuses to guess from a partial
     factorization.
     """
     if not is_probable_prime(p):
@@ -396,7 +394,7 @@ def multiplicative_order(g: int, p: int, budget: Budget = DEFAULT_BUDGET) -> int
         raise ValueError(f"gcd({g}, {p}) != 1; order undefined")
     if p == 2:
         return 1
-    f = factor(p - 1, budget)
+    f = factor(p - 1)
     if not f.complete:
         raise IncompleteFactorizationError(
             f"factorization of {p - 1} is incomplete "
@@ -427,13 +425,12 @@ def verify_order(g: int, p: int, order: int, budget: Budget = DEFAULT_BUDGET) ->
 
 
 def _merge(c1: Congruence, c2: Congruence) -> Congruence:
+    # crt_combine has checked every pair, and pairwise compatible
+    # congruences have a common solution, so c1 and c2 agree modulo g
     g = math.gcd(c1.modulus, c2.modulus)
-    if (c1.residue - c2.residue) % g != 0:
-        raise IncompatibleCongruencesError(c1, c2, _conflict_prime_power(c1, c2, g))
-    l = c1.modulus // g * c2.modulus
     m2g = c2.modulus // g
     t = (c2.residue - c1.residue) // g * pow(c1.modulus // g, -1, m2g) % m2g
-    return Congruence(c1.residue + c1.modulus * t, l)
+    return Congruence(c1.residue + c1.modulus * t, c1.modulus * m2g)
 
 
 def _conflict_prime_power(c1: Congruence, c2: Congruence, g: int) -> int:
@@ -463,7 +460,3 @@ def crt_combine(congruences: list[Congruence]) -> Congruence:
             if (a.residue - b.residue) % g != 0:
                 raise IncompatibleCongruencesError(a, b, _conflict_prime_power(a, b, g))
     return reduce(_merge, congruences)
-
-
-def lcm_all(values) -> int:
-    return reduce(math.lcm, values, 1)

@@ -18,16 +18,13 @@ from dataclasses import dataclass
 
 from .covering import CoveringSystem, ResidueClass, _least_gap, _Work, verify_partitioned
 from .modarith import (
-    Budget,
     CapacityError,
     Congruence,
-    DEFAULT_BUDGET,
     FactorizationResult,
     IncompatibleCongruencesError,
     crt_combine,
     factor,
     is_probable_prime,
-    lcm_all,
     multiplicative_order,
     verify_order,
 )
@@ -91,7 +88,7 @@ class BrierCheck:
         return self.ok
 
 
-def _check_assignments(assignments, budget: Budget):
+def _check_assignments(assignments):
     seen_primes = set()
     seen_classes = {}
     for asg in assignments:
@@ -107,17 +104,17 @@ def _check_assignments(assignments, budget: Budget):
         if key in seen_classes:
             raise ValueError(f"duplicate congruence class {asg.cls}")
         seen_classes[key] = p
-        if not verify_order(2, p, asg.cls.b, budget):
+        if not verify_order(2, p, asg.cls.b):
             raise ValueError(
                 f"ord_{p}(2) != {asg.cls.b}; {p} cannot serve class {asg.cls}"
             )
 
 
-def _build(assignments, kind: str, require_covering: bool, budget: Budget):
+def _build(assignments, kind: str, require_covering: bool):
     assignments = list(assignments)
     if not assignments:
         raise ValueError("no assignments given")
-    _check_assignments(assignments, budget)
+    _check_assignments(assignments)
     classes = tuple(a.cls for a in assignments)
     if require_covering:
         verdict = verify_partitioned(CoveringSystem(classes))
@@ -154,24 +151,16 @@ def _build(assignments, kind: str, require_covering: bool, budget: Budget):
     )
 
 
-def build_sierpinski(
-    assignments,
-    require_covering: bool = True,
-    budget: Budget = DEFAULT_BUDGET,
-) -> SievedProgression:
+def build_sierpinski(assignments, require_covering: bool = True) -> SievedProgression:
     """Progression of Sierpinski candidates: B ≡ -2^(-a) (mod p) per class,
     B odd, A = 2 * product of the primes.  With require_covering=False the
     covering check is skipped (diagnostic mode for partial assignments)."""
-    return _build(assignments, "sierpinski", require_covering, budget)
+    return _build(assignments, "sierpinski", require_covering)
 
 
-def build_riesel(
-    assignments,
-    require_covering: bool = True,
-    budget: Budget = DEFAULT_BUDGET,
-) -> SievedProgression:
+def build_riesel(assignments, require_covering: bool = True) -> SievedProgression:
     """Mirror of build_sierpinski with B ≡ +2^(-a) (mod p)."""
-    return _build(assignments, "riesel", require_covering, budget)
+    return _build(assignments, "riesel", require_covering)
 
 
 def combine_brier(parts) -> SievedProgression:
@@ -230,7 +219,7 @@ def _discrete_logs(base: int, p: int, order: int, residues) -> dict[int, int]:
     return logs
 
 
-def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | None = None):
+def _period_check(base: int, cases, orders: dict[int, int] | None = None):
     """Shared core of the period checks.
 
     Each case (label, coeff, target, primes) asks whether every n >= 0 has
@@ -254,7 +243,7 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
     orders = {} if orders is None else orders
     for p in sorted(set().union(*(primes for _, _, _, primes in cases))):
         if p not in orders:
-            orders[p] = multiplicative_order(base, p, budget=budget)
+            orders[p] = multiplicative_order(base, p)
     # per case, the residue target/coeff (mod p) that base^n must hit
     wanted = [
         {p: target * pow(coeff, -1, p) % p for p in primes if coeff % p}
@@ -270,7 +259,7 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
     cert = []
     periods = []
     for (label, _, target, primes), want in zip(cases, wanted):
-        periods.append(lcm_all(orders[p] for p in primes))
+        periods.append(math.lcm(*(orders[p] for p in primes)))
         # a walk takes up to ord_p steps, each cheaper than a class entry,
         # so the charge bounds it before it starts
         work.charge(entries=sum(orders[p] for p in want if p not in logs))
@@ -291,10 +280,10 @@ def _period_check(base: int, cases, budget: Budget, orders: dict[int, int] | Non
         gap = _least_gap(classes, 1, work)
         if gap is not None:
             return (label, gap), periods[-1], tuple(cert)
-    return None, lcm_all(periods), tuple(cert)
+    return None, math.lcm(*periods), tuple(cert)
 
 
-def _verify_pm(k, primes, sign, kind, budget, orders=None):
+def _verify_pm(k, primes, sign, kind, orders=None):
     """Shared core of verify_sierpinski / verify_riesel: k*2^n - sign.
     orders is passed on to _period_check."""
     if k <= 0 or k % 2 == 0:
@@ -303,7 +292,7 @@ def _verify_pm(k, primes, sign, kind, budget, orders=None):
     for p in primes:
         if p == 2:
             raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
-    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], budget, orders)
+    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], orders)
     if failure is not None:
         gap = failure[1]
         return CheckResult(
@@ -319,39 +308,37 @@ def _verify_pm(k, primes, sign, kind, budget, orders=None):
     return CheckResult(True, period=L, certificate=cert)
 
 
-def verify_sierpinski(k: int, primes, budget: Budget = DEFAULT_BUDGET) -> CheckResult:
+def verify_sierpinski(k: int, primes) -> CheckResult:
     """Does every k*2^n + 1 (n >= 0) have a divisor in the prime set?
 
     Scans one full period L = lcm of the orders of 2; also requires
     k > max(primes) so that divisibility implies compositeness.
     """
-    return _verify_pm(k, primes, -1, "sierpinski", budget)
+    return _verify_pm(k, primes, -1, "sierpinski")
 
 
-def verify_riesel(k: int, primes, budget: Budget = DEFAULT_BUDGET) -> CheckResult:
+def verify_riesel(k: int, primes) -> CheckResult:
     """Mirror of verify_sierpinski for k*2^n - 1 (requires k > max(p) + 1,
     covering the n = 0 boundary case)."""
-    return _verify_pm(k, primes, 1, "riesel", budget)
+    return _verify_pm(k, primes, 1, "riesel")
 
 
-def verify_brier(k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET) -> BrierCheck:
+def verify_brier(k: int, primes_s, primes_r) -> BrierCheck:
     """k is Brier (relative to the two certificates) iff both checks pass.
     The order of each prime is computed once, whichever sets hold it."""
     orders = {}
-    s = _verify_pm(k, primes_s, -1, "sierpinski", budget, orders)
-    r = _verify_pm(k, primes_r, 1, "riesel", budget, orders)
+    s = _verify_pm(k, primes_s, -1, "sierpinski", orders)
+    r = _verify_pm(k, primes_r, 1, "riesel", orders)
     return BrierCheck(s.ok and r.ok, s, r)
 
 
-def verify_digit_robust(
-    k: int,
-    primes,
-    base: int = 10,
-    budget: Budget = DEFAULT_BUDGET,
-) -> CheckResult:
+def verify_digit_robust(k: int, primes, base: int = 10) -> CheckResult:
     """Does every k + d*base^n (d = ±1..±(base-1), n >= 0) have a divisor
     in the prime set?  Primes dividing the base have no order and are
-    rejected outright."""
+    rejected outright.  Each of the 2(base-1) cases is charged to WORK_CAP
+    as a tree node, and each residue it computes as a class entry, before
+    any case is built: a base whose cases alone pass the bound, about
+    50,000 or more, is refused with CapacityError."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if base < 2:
@@ -363,9 +350,13 @@ def verify_digit_robust(
                 f"{p} divides the base {base}, so base^n is 0 mod {p} and the "
                 f"order of {base} mod {p} does not exist; drop it from the set"
             )
+    # each of the 2(base-1) cases is the root of its own tree and computes one
+    # residue per prime: a node per case and an entry per residue, so that a
+    # base whose cases alone pass WORK_CAP is refused before any is built
+    _Work([]).charge(nodes=2 * (base - 1), entries=2 * (base - 1) * len(primes))
     # k + d*base^n ≡ 0 (mod p)  <=>  d*base^n ≡ -k (mod p)
-    cases = [(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
-    failure, L, cert = _period_check(base, cases, budget)
+    cases =[(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
+    failure, L, cert = _period_check(base, cases)
     if failure is not None:
         d, gap = failure
         return CheckResult(
@@ -375,9 +366,7 @@ def verify_digit_robust(
     return CheckResult(True, period=L, certificate=cert)
 
 
-def verify_base2_delicate(
-    k: int, primes_s, primes_r, budget: Budget = DEFAULT_BUDGET
-) -> CheckResult:
+def verify_base2_delicate(k: int, primes_s, primes_r) -> CheckResult:
     """Every k + 2^n must have a divisor among primes_s and every k - 2^n
     one among primes_r (the plus side inherits from the Sierpinski facts,
     the minus side from the Riesel facts)."""
@@ -388,7 +377,7 @@ def verify_base2_delicate(
         raise ValueError("k ± 2^n is odd for n >= 1; use odd primes")
     # k + sign*2^n ≡ 0 (mod p)  <=>  2^n ≡ -sign*k (mod p)
     cases = [(1, 1, -k, primes_s), (-1, 1, k, primes_r)]
-    failure, L, cert = _period_check(2, cases, budget)
+    failure, L, cert = _period_check(2, cases)
     if failure is not None:
         sign, gap = failure
         return CheckResult(
@@ -458,9 +447,7 @@ class ShiftResult:
         ) % modulus
 
 
-def subprogression_shift(
-    A: int, B: int, base: int, budget: Budget = DEFAULT_BUDGET
-) -> ShiftResult:
+def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
     """Shift Am + B to a subprogression A0*m + B0 whose members keep every
     divisibility certificate of the original (B0 ≡ B mod A) while the
     shifted values k + d*base^n are provably never equal to ±p for the
@@ -476,7 +463,7 @@ def subprogression_shift(
         raise ValueError(f"base must be >= 2, got {base}")
     if math.gcd(A, B) != 1:
         raise ValueError(f"gcd(A, B) = {math.gcd(A, B)} != 1")
-    fb = factor(base, budget)
+    fb = factor(base)
     if not fb.complete:
         raise CapacityError(f"cannot factor the base {base}")
     for q in fb.primes():
@@ -486,14 +473,14 @@ def subprogression_shift(
     for q in fb.primes():
         while a_prime % q == 0:
             a_prime //= q
-    fa = factor(a_prime, budget) if a_prime > 1 else FactorizationResult(())
+    fa = factor(a_prime) if a_prime > 1 else FactorizationResult(())
     # A must have a prime divisor exceeding the base
     if fa.complete and max(fa.primes(), default=1) <= base:
         raise ValueError(f"A = {A} has no prime divisor > base {base}")
     if not fa.complete:
         raise ValueError(
             f"cannot certify φ: the base-coprime part {a_prime} of A resists "
-            f"factorization under the given budget"
+            f"factorization under the factoring budget"
         )
     v = 1
     for p, e in fa.factors:

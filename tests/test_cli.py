@@ -3,11 +3,12 @@ import io
 import math
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversieve import cli, covering
+from coversieve import cli, covering, progression
 from coversieve.cli import main
 from coversieve.covering import Verdict
 from coversieve.dataset import export_data_files
@@ -195,15 +196,34 @@ def test_check_beyond_a_whole_period_scan(capsys, tmp_path):
     assert kv(out)["witness"] == "6" and kv(out)["period"] == str(sd.SELFRIDGE_MERSENNE_PERIOD)
 
 
+def test_check_refuses_a_digit_base_beyond_the_bound_at_once(capsys, tmp_path, monkeypatch):
+    # 2(10^12 - 1) cases would be built before the first is scanned
+    f = tmp_path / "primes.txt"
+    f.write_text("7\n11\n13\n")
+    checked = []
+    monkeypatch.setattr(progression, "_period_check", lambda *args: checked.append(args))
+    start = time.perf_counter()
+    code = main(["check", "--kind", "digit", "--k", "1", "--base", str(10**12), "--primes", str(f)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and checked == []
+    assert err.startswith("error: verification needs more than 100000 work units") and err.count("\n") == 1
+
+
+# check's --base: small, or up to 10^18, mostly past the 2(base-1) cases
+# WORK_CAP lets a digit check build
+_BASE = st.one_of(st.integers(-1, 12), st.integers(13, 10**18))
+
+
 @st.composite
 def check_argv(draw):
-    """check's flags at every --kind, with prime files of small primes, 2,
-    composites, divisors of the base, or nothing."""
+    """check's flags at every --kind, bases up to 10^18, with prime files of
+    small primes, 2, composites, divisors of the base, or nothing."""
     kind = draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2")))
     k = draw(st.one_of(st.integers(-3, 300), st.sampled_from((78557, 509203, 3367034))))
-    base = draw(st.integers(-1, 12))
+    base = draw(_BASE)
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 37, 41, 73, 241, 0, 1, 4, 9, 15, 91, -7]
-    pool += [d for d in range(1, base + 1) if base % d == 0]
+    pool += [d for d in range(1, min(base, 300) + 1) if base % d == 0]
     files = draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=2, max_size=2))
     return kind, k, base, files
 
@@ -228,6 +248,8 @@ def test_check_fuzz_exits_with_an_answer_or_one_error(argv):
 
 _HOSTILE = st.one_of(st.sampled_from((0, 1, -1, 2, -2, 3, 4, 6, 10, 12, 16, 31, 101, 257)),
                      st.integers(-10**6, 10**6))
+# cyclo's --eval without --factor: hostile, or a point of up to 1000 digits
+_POINT = st.one_of(_HOSTILE, st.integers(-10**1000, 10**1000))
 _SMALL = st.one_of(st.sampled_from((0, 1, -1, 2, 4, 9, 15, 91, -7)),
                    st.sampled_from((3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 127, 241, 257, 65537)))
 
@@ -272,7 +294,8 @@ def assignment_file(draw):
 def subcommand_argv(draw):
     """argv of order, cyclo, shift, build, combine or check with hostile
     integers (0, 1, negatives, even numbers, divisors of the base), moduli
-    below 10^6 and --b up to 200 (24 when it factors), plus the files it
+    below 10^6, --b up to 200 (24 when it factors), cyclo points of up to
+    1000 digits and check bases up to 10^18, plus the files it
     names: {name: bytes, "directory" or "missing"}, each named in argv as
     a format field "{name}"."""
     files = {}
@@ -291,7 +314,7 @@ def subcommand_argv(draw):
         factor = draw(st.booleans())
         argv += ["--b", draw(st.integers(-3, 24 if factor else 200))]
         if draw(st.integers(0, 5)):
-            argv += ["--eval", draw(st.integers(-4, 12) if factor else _HOSTILE)]
+            argv += ["--eval", draw(st.integers(-4, 12) if factor else _POINT)]
         if factor:
             argv += ["--factor"]
             if draw(st.booleans()):
@@ -309,14 +332,12 @@ def subcommand_argv(draw):
             argv += ["--part", f"{kind}:{file(draw(assignment_file()))}" if draw(st.integers(0, 7)) else kind]
     else:
         argv += ["--kind", draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2"))),
-                 "--k", draw(st.integers(-3, 300)), "--base", draw(st.integers(-1, 12)),
+                 "--k", draw(st.integers(-3, 300)), "--base", draw(_BASE),
                  "--primes", file(draw(integer_file()))]
         if draw(st.booleans()):
             argv += ["--primes-riesel", file(draw(integer_file()))]
     if cmd in ("build", "combine") and draw(st.booleans()):
         argv.append("--diagnostic")
-    if cmd in ("order", "cyclo", "check") and draw(st.integers(0, 3)) == 0:
-        argv += ["--effort", draw(st.sampled_from((-1, 0, 1, 100)))]
     return argv, files
 
 
@@ -473,6 +494,18 @@ def test_outputs_beyond_the_int_to_str_digit_limit(capsys):
     assert out == "b=18018\nnote=value too large to print\n"
 
 
+def test_cyclo_refuses_a_point_beyond_eval_bits(capsys):
+    code, out = run(capsys, "cyclo", "--b", 19998, "--eval", 10**10 + 19, "--format", "kv")
+    assert code == 0 and out == "b=19998\nnote=value too large to print\n"
+    for x0 in (10**100 + 7, 10**1000 + 453):
+        start = time.perf_counter()
+        code = main(["cyclo", "--b", "19998", "--eval", str(x0), "--format", "kv"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: Φ_19998 at a ") and err.count("\n") == 1
+
+
 def test_dataset_verify_appendix(capsys):
     code, out = run(capsys, "dataset", "verify-appendix", "--format", "kv")
     assert code == 0
@@ -509,15 +542,6 @@ def test_kv_output_is_deterministic(capsys, datadir):
     _, out1 = run(capsys, "verify", datadir / "c0.cov", "--format", "kv")
     _, out2 = run(capsys, "verify", datadir / "c0.cov", "--format", "kv")
     assert out1 == out2
-
-
-def test_effort_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("COVERSIEVE_EFFORT", "1000")
-    code, out = run(capsys, "cyclo", "--b", 64, "--eval", 2, "--factor", "--format", "kv")
-    assert code == 0
-    # 641 = 10*64 + 1 is still inside the reduced trial range; the larger
-    # cofactor is prime and closes the factorization
-    assert kv(out)["primes"] == "641*6700417"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import pytest
 
@@ -121,6 +123,42 @@ def test_index_cap():
         cyclotomic_value(20001, 2)
     # the appendix's largest modulus stays inside the cap
     assert cyclotomic_coeffs(18018).degree == euler_phi(18018)
+
+
+def numerator_bits(b, x0):
+    """Bits of prod x0**(b/d) - 1 over the squarefree d | b with μ(d) = 1,
+    counted as cyclotomic_value's bound counts them."""
+    primes = factor(b).primes() if b > 1 else []
+    even = (c for k in range(0, len(primes) + 1, 2) for c in itertools.combinations(primes, k))
+    return sum(b // math.prod(c) for c in even) * abs(x0).bit_length()
+
+
+def test_eval_bits_refuses_before_any_power():
+    # Φ_19998 at 10^10 + 19 forms 851,088 bits and is admitted; at 10^100 + 7
+    # (8,335,656 bits) and at a 1001-digit point it is refused at once
+    assert numerator_bits(19998, 10**10 + 19) == 851_088 <= cyclotomic.EVAL_BITS
+    assert cyclotomic_value(19998, 10**10 + 19) % (10**10 + 19) == 1
+    for x0 in (10**100 + 7, -(10**1000) - 1):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"needs a product of {numerator_bits(19998, x0)} bits"):
+            cyclotomic_value(19998, x0)
+        assert time.perf_counter() - start < 1
+    # Φ_2 forms x0**2 - 1: a point at the bound is admitted, and one whose
+    # numerator is two bits past it is refused
+    x0 = 2 ** (cyclotomic.EVAL_BITS // 2) - 1
+    assert cyclotomic_value(2, x0) == x0 + 1
+    with pytest.raises(CapacityError):
+        cyclotomic_value(2, x0 + 1)
+
+
+def test_eval_bits_admits_every_index_at_2_and_10():
+    # b = 19950 has the largest numerator of every b <= INDEX_CAP, 30,960
+    # times the bits of the point
+    b = 19950
+    widest = max(range(1, cyclotomic.INDEX_CAP + 1), key=lambda c: numerator_bits(c, 10))
+    assert widest == b and numerator_bits(b, 10) == 30_960 * 4 <= cyclotomic.EVAL_BITS
+    poly = cyclotomic_coeffs(b)
+    assert cyclotomic_value(b, 10) == poly(10) and cyclotomic_value(b, 2) == poly(2)
 
 
 def test_primes_of_order_examples():

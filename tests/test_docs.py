@@ -1,12 +1,18 @@
 """The README's bounds table names module constants and their values; each
 must exist in the package with that value, and every module-level *_CAP or
-*_BITS constant of the package must have a row."""
+*_BITS constant of the package must have a row.  Every command of the
+README's CLI block must parse."""
 
 import ast
 import importlib
 import math
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from coversieve import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -60,3 +66,22 @@ def test_readme_bounds_match_the_code():
         mod = importlib.import_module(f"coversieve.{module}")
         assert hasattr(mod, attr), f"README names {name}, which the package lacks"
         assert getattr(mod, attr) == _number(value), f"README gives {name} as {value}"
+
+
+def _readme_commands() -> list[str]:
+    """Each coversieve command of the README's CLI block, continuation lines
+    joined."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("coversieve ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README advertises a command the parser rejects: {command}")

@@ -154,9 +154,9 @@ def rho_spy(monkeypatch):
     """(rounds, e) of every _brent_rho call, which still runs."""
     calls, real = [], modarith._brent_rho
 
-    def spy(n, rounds, restarts, seed, e):
+    def spy(n, rounds, restarts, e):
         calls.append((rounds, e))
-        return real(n, rounds, restarts, seed, e)
+        return real(n, rounds, restarts, e)
 
     monkeypatch.setattr(modarith, "_brent_rho", spy)
     return calls
@@ -238,14 +238,15 @@ def test_multiplicative_order_examples():
         multiplicative_order(10, 5)  # gcd != 1
 
 
-def test_multiplicative_order_refuses_partial_factorization():
+def test_multiplicative_order_refuses_partial_factorization(monkeypatch):
     # P - 1 = 6 * p * q with the two 30-digit primes above
     P = 6 * (10**29 + 319) * (10**29 + 379) + 1
     assert is_probable_prime(P)
     starved = Budget(trial_limit=10, rho_rounds=5, rho_restarts=1)
     assert not factor(P - 1, starved).complete
+    monkeypatch.setattr(modarith, "factor", lambda n: factor(n, starved))
     with pytest.raises(IncompleteFactorizationError):
-        multiplicative_order(3, P, starved)
+        multiplicative_order(3, P)
 
 
 def test_order_divisibility_property():

@@ -261,6 +261,21 @@ def test_verify_digit_robust_negative_cases():
         verify_digit_robust(101, [0], base=10)
 
 
+def test_digit_cases_are_charged_before_any_is_built(monkeypatch):
+    # 2(base-1) cases, a node each, and one entry (1/64 unit) per residue:
+    # base 6 is 10 units without primes and 10 + 10/64 with one prime
+    checked = []
+    real = progression._period_check
+    monkeypatch.setattr(progression, "_period_check",
+                        lambda base, cases: checked.append(len(cases)) or real(base, cases))
+    monkeypatch.setattr(covering, "WORK_CAP", 10)
+    assert not verify_digit_robust(1, [], base=6).ok
+    assert not verify_digit_robust(1, [7], base=5).ok
+    with pytest.raises(CapacityError, match="more than 10 work units"):
+        verify_digit_robust(1, [7], base=6)
+    assert checked == [10, 8]
+
+
 def test_verify_base2_delicate():
     res = verify_base2_delicate(sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES)
     assert res.ok
@@ -510,12 +525,12 @@ def literal_scan(classes, count):
     return next((n for n in range(count) if all(n % o != a for a, o in classes)), None)
 
 
-def reference_period_check(base, cases, budget, orders=None, scan=literal_scan):
+def reference_period_check(base, cases, orders=None, scan=literal_scan):
     """_period_check as it stood before the shared walk: each (case, prime)
     steps a from 0 until coeff * base^a ≡ target (mod p), and each case's
     whole period is scanned, member by member by default.  orders is
     ignored; every order is computed afresh."""
-    orders = {p: multiplicative_order(base, p, budget=budget)
+    orders = {p: multiplicative_order(base, p)
               for p in sorted(set().union(*(primes for *_, primes in cases)))}
     cert, periods = [], []
     for label, coeff, target, primes in cases:
@@ -553,7 +568,6 @@ def test_shared_walk_matches_the_reference_on_base10_digit_checks(monkeypatch):
     # too, so the hit classes of every case are compared, not only those
     # before the first failing case
     rng = random.Random(1301)
-    budget = progression.DEFAULT_BUDGET
     checks = []
     for _ in range(40):
         k = rng.randrange(1, 10**15) * rng.choice((1, 1, 3, 7, 21))
@@ -561,8 +575,8 @@ def test_shared_walk_matches_the_reference_on_base10_digit_checks(monkeypatch):
         checks.append((k, primes))
         cases = [(d, d, -k, primes) for d in range(-9, 10) if d != 0]
         for i in range(len(cases)):
-            assert (progression._period_check(10, cases[i:], budget)
-                    == reference_period_check(10, cases[i:], budget)), (k, primes, i)
+            assert (progression._period_check(10, cases[i:])
+                    == reference_period_check(10, cases[i:])), (k, primes, i)
     got = [verify_digit_robust(k, primes) for k, primes in checks]
     monkeypatch.setattr(progression, "_period_check", reference_period_check)
     assert got == [verify_digit_robust(k, primes) for k, primes in checks]
@@ -641,9 +655,9 @@ def test_brier_computes_each_order_once(monkeypatch):
     seen = []
     real = progression.multiplicative_order
 
-    def spy(g, p, budget):
+    def spy(g, p):
         seen.append(p)
-        return real(g, p, budget)
+        return real(g, p)
 
     monkeypatch.setattr(progression, "multiplicative_order", spy)
     assert verify_brier(sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES).ok
