@@ -97,6 +97,9 @@ def cmd_cyclo(args) -> int:
     if args.factor and args.eval is None:
         print("error: --factor needs --eval", file=sys.stderr)
         return USAGE
+    if args.exclude is not None and not (args.factor and args.eval in (2, 10)):
+        print("error: --exclude needs --factor at --eval 2 or 10", file=sys.stderr)
+        return USAGE
     pairs = [("b", args.b)]
     if args.eval is None:
         from .cyclotomic import cyclotomic_coeffs
@@ -110,8 +113,8 @@ def cmd_cyclo(args) -> int:
     except ValueError:  # above Python's int-to-str digit limit
         pairs.append(("note", "value too large to print"))
     if args.factor:
-        exclude = load_exclusions(args.exclude) if args.exclude else frozenset()
         if args.eval in (2, 10):
+            exclude = frozenset() if args.exclude is None else load_exclusions(args.exclude)
             ops = primes_of_order(args.b, args.eval, exclude=exclude)
             pairs.append(("primes", "*".join(str(p) for p in ops.primes)))
             pairs.append(("complete", int(ops.complete)))

@@ -66,7 +66,7 @@ class SievedProgression:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a period-scan verification."""
+    """Outcome of a period check."""
 
     ok: bool
     witness: object = None
@@ -86,6 +86,21 @@ class BrierCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# the primes of a kind's certificate divide k*2^n - _SIGN[kind] on their classes
+_SIGN = {"sierpinski": -1, "riesel": 1}
+
+
+def _assemble(A, B, kind, primes, certificate) -> SievedProgression:
+    """Am + B, after re-checking that gcd(A, B) = 1 and that B satisfies
+    every (kind, a, b, p) entry of the certificate."""
+    if math.gcd(A, B) != 1:
+        raise AssertionError(f"{kind} progression has gcd(A, B) != 1")
+    for entry_kind, a, _, p in certificate:
+        if (B * pow(2, a, p) - _SIGN[entry_kind]) % p != 0:
+            raise AssertionError(f"certificate check failed at prime {p}")
+    return SievedProgression(A, B, kind, frozenset(primes), tuple(certificate))
 
 
 def _check_assignments(assignments):
@@ -115,40 +130,22 @@ def _build(assignments, kind: str, require_covering: bool):
     if not assignments:
         raise ValueError("no assignments given")
     _check_assignments(assignments)
-    classes = tuple(a.cls for a in assignments)
     if require_covering:
-        verdict = verify_partitioned(CoveringSystem(classes))
+        verdict = verify_partitioned(CoveringSystem(tuple(a.cls for a in assignments)))
         if not verdict.covered:
             raise ValueError(
                 f"assignment classes do not cover the integers "
                 f"(witness {verdict.witness})"
             )
-    sign = -1 if kind == "sierpinski" else 1
-    congruences = [Congruence(1, 2)]
-    for asg in assignments:
-        p = asg.prime
-        inv = pow(2, -asg.cls.a, p)
-        congruences.append(Congruence(sign * inv, p))
-    combined = crt_combine(congruences)
-    A = 2 * math.prod(a.prime for a in assignments)
+    cert = [(kind, asg.cls.a, asg.cls.b, asg.prime) for asg in assignments]
+    primes = [p for *_, p in cert]
+    combined = crt_combine(
+        [Congruence(1, 2)] + [Congruence(_SIGN[kind] * pow(2, -a, p), p) for _, a, _, p in cert]
+    )
+    A = 2 * math.prod(primes)
     if combined.modulus != A:
         raise AssertionError("CRT modulus does not match 2 * product of primes")
-    B = combined.residue
-    cert = []
-    for asg in assignments:
-        p = asg.prime
-        if (B * pow(2, asg.cls.a, p) - sign) % p != 0:
-            raise AssertionError(f"certificate check failed at prime {p}")
-        cert.append((kind, asg.cls.a, asg.cls.b, p))
-    if math.gcd(A, B) != 1:
-        raise AssertionError("built progression has gcd(A, B) != 1")
-    return SievedProgression(
-        A=A,
-        B=B,
-        kind=kind,
-        primes=frozenset({2, *(a.prime for a in assignments)}),
-        certificate=tuple(cert),
-    )
+    return _assemble(A, combined.residue, kind, {2, *primes}, cert)
 
 
 def build_sierpinski(assignments, require_covering: bool = True) -> SievedProgression:
@@ -176,25 +173,9 @@ def combine_brier(parts) -> SievedProgression:
     except IncompatibleCongruencesError as exc:
         f = factor(exc.prime_power)
         raise CombineConflictError(f.primes()[0] if f.factors else exc.prime_power)
-    A, B = combined.modulus, combined.residue
-    if math.gcd(A, B) != 1:
-        raise AssertionError("combined progression has gcd(A, B) != 1")
-    cert = []
-    for part in parts:
-        for kind, a, b, p in part.certificate:
-            sign = -1 if kind == "sierpinski" else 1
-            if (B * pow(2, a, p) - sign) % p != 0:
-                raise AssertionError(
-                    f"certificate of a part fails against the combined B (prime {p})"
-                )
-            cert.append((kind, a, b, p))
-    return SievedProgression(
-        A=A,
-        B=B,
-        kind="brier",
-        primes=frozenset().union(*(p.primes for p in parts)),
-        certificate=tuple(cert),
-    )
+    return _assemble(combined.modulus, combined.residue, "brier",
+                     frozenset().union(*(p.primes for p in parts)),
+                     [entry for part in parts for entry in part.certificate])
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +264,15 @@ def _period_check(base: int, cases, orders: dict[int, int] | None = None):
     return None, math.lcm(*periods), tuple(cert)
 
 
-def _verify_pm(k, primes, sign, kind, orders=None):
-    """Shared core of verify_sierpinski / verify_riesel: k*2^n - sign.
-    orders is passed on to _period_check."""
+def _verify_pm(k, primes, kind, orders=None):
+    """Shared core of verify_sierpinski / verify_riesel: one _period_check
+    case, k*2^n - _SIGN[kind] for n >= 0.  orders is passed on to it."""
+    sign = _SIGN[kind]
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"k must be a positive odd integer, got {k}")
     primes = sorted(set(primes))
-    for p in primes:
-        if p == 2:
-            raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
+    if 2 in primes:
+        raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
     failure, L, cert = _period_check(2, [(kind, k, sign, primes)], orders)
     if failure is not None:
         gap = failure[1]
@@ -311,24 +292,25 @@ def _verify_pm(k, primes, sign, kind, orders=None):
 def verify_sierpinski(k: int, primes) -> CheckResult:
     """Does every k*2^n + 1 (n >= 0) have a divisor in the prime set?
 
-    Scans one full period L = lcm of the orders of 2; also requires
-    k > max(primes) so that divisibility implies compositeness.
+    Each prime p hits one class of n modulo ord_p(2), and the residue tree
+    checks that these classes cover every n, scanning only its leaves; also
+    requires k > max(primes) so that divisibility implies compositeness.
     """
-    return _verify_pm(k, primes, -1, "sierpinski")
+    return _verify_pm(k, primes, "sierpinski")
 
 
 def verify_riesel(k: int, primes) -> CheckResult:
     """Mirror of verify_sierpinski for k*2^n - 1 (requires k > max(p) + 1,
     covering the n = 0 boundary case)."""
-    return _verify_pm(k, primes, 1, "riesel")
+    return _verify_pm(k, primes, "riesel")
 
 
 def verify_brier(k: int, primes_s, primes_r) -> BrierCheck:
     """k is Brier (relative to the two certificates) iff both checks pass.
     The order of each prime is computed once, whichever sets hold it."""
     orders = {}
-    s = _verify_pm(k, primes_s, -1, "sierpinski", orders)
-    r = _verify_pm(k, primes_r, 1, "riesel", orders)
+    s = _verify_pm(k, primes_s, "sierpinski", orders)
+    r = _verify_pm(k, primes_r, "riesel", orders)
     return BrierCheck(s.ok and r.ok, s, r)
 
 
@@ -466,13 +448,15 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
     fb = factor(base)
     if not fb.complete:
         raise CapacityError(f"cannot factor the base {base}")
-    for q in fb.primes():
-        if A % q != 0:
-            raise ValueError(f"prime {q} divides the base but not A")
-    a_prime = A
-    for q in fb.primes():
+    a_prime, u = A, 1
+    for q, eb in fb.factors:
+        ea = 0
         while a_prime % q == 0:
             a_prime //= q
+            ea += 1
+        if ea == 0:
+            raise ValueError(f"prime {q} divides the base but not A")
+        u = max(u, -(-ea // eb))
     fa = factor(a_prime) if a_prime > 1 else FactorizationResult(())
     # A must have a prime divisor exceeding the base
     if fa.complete and max(fa.primes(), default=1) <= base:
@@ -485,14 +469,6 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
     v = 1
     for p, e in fa.factors:
         v *= (p - 1) * p ** (e - 1)
-    u = 1
-    for q, eb in fb.factors:
-        ea = 0
-        x = A
-        while x % q == 0:
-            ea += 1
-            x //= q
-        u = max(u, -(-ea // eb))
     ell = max(u, 2)
     while base ** ell <= A + B:
         ell += 1

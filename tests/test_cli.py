@@ -155,6 +155,24 @@ def test_cyclo_command(capsys):
     assert kv(out)["primes"] == "97*673"
 
 
+def test_cyclo_exclude_needs_factor_at_2_or_10(capsys, tmp_path):
+    known = tmp_path / "known.txt"
+    known.write_text("97\n1093\n")
+    # Phi_7(3) = 1093 and Phi_4(2) = 5: the set would be read and then ignored
+    for argv in (["--b", 7, "--eval", 3, "--factor"], ["--b", 4, "--eval", 2], ["--b", 4]):
+        code = main(["cyclo", *map(str, argv), "--exclude", str(known)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: --exclude needs --factor at --eval 2 or 10\n"
+    code, out = run(capsys, "cyclo", "--b", 48, "--eval", 2, "--factor", "--exclude", known,
+                    "--format", "kv")
+    assert code == 0 and kv(out)["primes"] == "673"
+    # an empty path is a missing file, not an empty set
+    assert main(["cyclo", "--b", "48", "--eval", "2", "--factor", "--exclude", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_check_command(capsys, tmp_path):
     f = tmp_path / "selfridge.txt"
     f.write_text("".join(f"{p}\n" for p in sd.SELFRIDGE_PRIMES))
@@ -317,8 +335,8 @@ def subcommand_argv(draw):
             argv += ["--eval", draw(st.integers(-4, 12) if factor else _POINT)]
         if factor:
             argv += ["--factor"]
-            if draw(st.booleans()):
-                argv += ["--exclude", file(draw(integer_file()))]
+        if draw(st.booleans()):
+            argv += ["--exclude", file(draw(integer_file()))]
     elif cmd == "shift":
         small = st.integers(1, 300)
         argv += ["--A", draw(st.one_of(_HOSTILE, small)), "--B", draw(st.one_of(_HOSTILE, small)),

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -19,6 +20,7 @@ from coversieve.progression import (
     CheckResult,
     CombineConflictError,
     PrimeAssignment,
+    SievedProgression,
     build_riesel,
     build_sierpinski,
     combine_brier,
@@ -120,6 +122,24 @@ def test_combine_three_disjoint_parts_matches_brute_force():
     # combined ≡ each part modulo that part's A
     for part in (p1, p2, p3):
         assert comb.B % part.A == part.B
+
+
+def test_combine_rechecks_each_part_against_the_combined_b():
+    # 1*2^0 + 1 = 2 is not 0 mod 3, alone or merged with a sound part
+    forged = SievedProgression(6, 1, "sierpinski", frozenset({2, 3}), (("sierpinski", 0, 2, 3),))
+    ps = build_sierpinski(assignment([(0, 4, 5)]), require_covering=False)
+    for parts in ([forged], [ps, forged]):
+        with pytest.raises(AssertionError, match="prime 3"):
+            combine_brier(parts)
+
+
+def test_combine_keeps_primes_beyond_the_certificates():
+    ps = build_sierpinski(assignment([(0, 4, 5)]), require_covering=False)
+    pr = build_riesel(assignment([(2, 4, 5)]), require_covering=False)
+    wide = SievedProgression(ps.A, ps.B, ps.kind, ps.primes | {7}, ps.certificate)
+    comb = combine_brier([wide, pr])
+    assert comb.primes == frozenset({2, 5, 7})
+    assert comb.certificate == ps.certificate + pr.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +782,29 @@ def test_shift_preconditions():
         subprogression_shift(7 * 1000003, 1, 1000003)
     with pytest.raises(ValueError, match="gcd"):
         subprogression_shift(130, 13, 10)
+
+
+def test_shift_ell_waits_for_u():
+    # 672 = 2^5 * 3 * 7: 6^4 = 1296 > 673 already, but 2^5 | 6^u needs u = 5
+    assert subprogression_shift(672, 1, 6).ell == 5
+
+
+def test_shift_ell_matches_the_definitions():
+    """u is the least u >= 1 with A | base^u * A', A' the part of A coprime
+    to the base, and ell the least ell >= max(u, 2) with base^ell > A + B."""
+    bound_by_u = 0
+    for base, qs in ((4, (2,)), (6, (2, 3)), (8, (2,)), (9, (3,)), (12, (2, 3))):
+        for exps in itertools.product((1, 2, 5, 9), repeat=len(qs)):
+            for a_prime in (13, 17, 13 * 13, 13 * 17):
+                A = a_prime * math.prod(q**e for q, e in zip(qs, exps))
+                for B in (1, 5, 91, A - 1):
+                    if math.gcd(A, B) != 1:
+                        continue
+                    u = next(u for u in itertools.count(1) if base**u * a_prime % A == 0)
+                    ell = next(e for e in itertools.count(max(u, 2)) if base**e > A + B)
+                    assert subprogression_shift(A, B, base).ell == ell, (A, B, base)
+                    bound_by_u += base ** (ell - 1) > A + B
+    assert bound_by_u > 0
 
 
 def test_shift_base_above_a_million():
