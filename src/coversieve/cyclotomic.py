@@ -11,7 +11,7 @@ refused with CapacityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
 
@@ -159,17 +159,15 @@ def primes_of_order(
 ) -> OrderPrimeSet:
     """Primes p (not dividing b, not excluded) with ord_p(base) exactly b.
 
-    Factors Φ_b(base) under the budget.  Trial division only probes
-    candidates ≡ 1 (mod b), since any prime of order b is 1 mod b; the one
-    possible divisor not of order b (the largest prime factor of b) is
-    stripped first.  What is left has no divisor up to the trial limit, so
-    it goes to factor()'s primality, p-1 and rho stages without trial
-    division: for base 2 and b ≡ 4 (mod 8) as the two halves of its
-    Aurifeuillian factorization, one factor() call each, and otherwise
-    whole.  Each call is told order=b, so its rho iterates x^lcm(2, b) + c
-    over fewer rounds at the same reach.  unfactored_cofactor is the
-    product of what each call leaves.
-    Every surviving prime has its order verified.
+    Factors Φ_b(base) under the budget.  The one possible divisor not of
+    order b, the largest prime factor of b, is stripped first; every prime
+    left is 1 (mod b).  What is left goes to factor() told order=b, so its
+    trial division tries only the candidates 1 (mod lcm(2, b)) and its rho
+    iterates x^lcm(2, b) + c over fewer rounds at the same reach: for base
+    2 and b ≡ 4 (mod 8) as the two halves of its Aurifeuillian
+    factorization, one factor() call each, and otherwise whole.
+    unfactored_cofactor is the product of what each call leaves.
+    Every listed prime has its order verified.
     """
     if base not in (2, 10):
         raise ValueError(f"base must be 2 or 10, got {base}")
@@ -179,26 +177,14 @@ def primes_of_order(
     q = factor(b).primes()[-1]
     while value % q == 0:
         value //= q
-    found = []
-    c = b + 1
-    while c <= budget.trial_limit and c * c <= value:
-        if value % c == 0:
-            found.append(c)
-            while value % c == 0:
-                value //= c
-        c += b
-    rest = 1
-    for part in _aurifeuillian_parts(b, base, value):
-        if part > 1:
-            sub = factor(part, replace(budget, trial_limit=1), order=b)
-            found.extend(sub.primes())
-            rest *= sub.cofactor
-    value = rest
+    parts = _aurifeuillian_parts(b, base, value)
+    found = [factor(part, budget, order=b) for part in parts if part > 1]
+    value = math.prod(f.cofactor for f in found)
     primes = []
-    for p in sorted(set(found)):
+    for p in sorted(p for f in found for p in f.primes()):
         if p in exclude or b % p == 0:
             continue
-        if not verify_order(base, p, b, budget):
+        if not verify_order(base, p, b):
             raise ArithmeticError(
                 f"divisor {p} of cyclotomic value fails the order-{b} check"
             )

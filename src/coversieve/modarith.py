@@ -231,9 +231,18 @@ def is_probable_prime(n: int) -> bool:
     return _strong_lucas_probable_prime(n)
 
 
-def _trial_division(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+def _trial_division(n: int, limit: int, step: int) -> tuple[list[tuple[int, int]], int]:
+    """Prime powers of n found by trial division up to limit, and the rest.
+
+    At step 2 the candidates are 2, 3, 5 and the 30-wheel.  At a larger
+    step they are only the c ≡ 1 (mod step), and c is divided out only if
+    it is prime: a false promise can make a composite candidate divide n."""
     factors = []
-    for p in (2, 3, 5):
+    if step == 2:
+        head, wheel, stride = (2, 3, 5), (1, 7, 11, 13, 17, 19, 23, 29), 30
+    else:
+        head, wheel, stride = (), (1,), step
+    for p in head:
         if p > limit:
             return factors, n
         e = 0
@@ -242,23 +251,21 @@ def _trial_division(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
             e += 1
         if e:
             factors.append((p, e))
-    # 30-wheel over the remaining candidates
-    wheel = (1, 7, 11, 13, 17, 19, 23, 29)
     base = 0
     while True:
         for w in wheel:
             c = base + w
-            if c < 7:
+            if c == 1:
                 continue
             if c > limit or c * c > n:
                 return factors, n
-            if n % c == 0:
+            if n % c == 0 and (step == 2 or is_probable_prime(c)):
                 e = 0
                 while n % c == 0:
                     n //= c
                     e += 1
                 factors.append((c, e))
-        base += 30
+        base += stride
         if base > limit or (n > 1 and base * base > n):
             return factors, n
 
@@ -338,12 +345,14 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
     that fails is_probable_prime a Pollard p-1 stage 1 (bound
     budget.rho_rounds // 8, base 3) and Brent's rho.
 
-    order states a fact about n: every prime factor of n is 1 (mod order).
-    Rho then iterates x -> x^e + c with e = lcm(2, order), which walks a
-    set about e/2 times smaller than x^2 + c does (Brent & Pollard), so
-    ceil(rho_rounds / isqrt(e/2)) rounds reach as far as rho_rounds rounds
-    of x^2 + c.  The promise changes only speed: every split is still
-    checked, and order = 1 is the classical rho.
+    order states a fact about n: every prime factor of n is 1 (mod order),
+    so every odd one is 1 (mod step) with step = lcm(2, order).  Trial
+    division then tries only the candidates 1 (mod step), and rho iterates
+    x -> x^step + c, which walks a set about step/2 times smaller than
+    x^2 + c does (Brent & Pollard), so ceil(rho_rounds / isqrt(step/2))
+    rounds reach as far as rho_rounds rounds of x^2 + c.  A false promise
+    can only delay a factor, never list a composite: every prime is still
+    tested, and order = 1 is the classical trial division and rho.
 
     Never raises on hard inputs; whatever remains unfactored is reported as
     a composite cofactor with complete=False.
@@ -352,16 +361,17 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
         raise ValueError(f"factor() requires n >= 2, got {n}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    e = math.lcm(2, order)
-    rounds = -(-budget.rho_rounds // math.isqrt(e // 2))
-    factors, rest = _trial_division(n, budget.trial_limit)
+    step = math.lcm(2, order)
+    rounds = -(-budget.rho_rounds // math.isqrt(step // 2))
+    factors, rest = _trial_division(n, budget.trial_limit, step)
     counts = dict(factors)
     pending = []
-    # Trial division leaves rest with no prime factor up to the limit (or
-    # stops early at a prime), so a composite rest is at least
-    # (limit + 1)^2: a rest up to limit^2 is prime.  A negative limit
-    # divides nothing out, so it counts as 0.
-    if 1 < rest <= max(budget.trial_limit, 0) ** 2:
+    # At step 2 trial division leaves rest with no prime factor up to the
+    # limit (or stops early at a prime), so a composite rest is at least
+    # (limit + 1)^2: a rest up to limit^2 is prime.  A larger step tried
+    # only some primes, so its rest is tested.  A negative limit divides
+    # nothing out, so it counts as 0.
+    if step == 2 and 1 < rest <= max(budget.trial_limit, 0) ** 2:
         counts[rest] = 1
     elif rest > 1:
         pending.append(rest)
@@ -373,7 +383,7 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(m, rounds, budget.rho_restarts, e)
+        d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(m, rounds, budget.rho_restarts, step)
         if d is None:
             cofactor *= m
             continue
@@ -407,18 +417,19 @@ def multiplicative_order(g: int, p: int) -> int:
     return e
 
 
-def verify_order(g: int, p: int, order: int, budget: Budget = DEFAULT_BUDGET) -> bool:
+def verify_order(g: int, p: int, order: int) -> bool:
     """True iff ord_p(g) equals order exactly.
 
     Cheaper than multiplicative_order for huge p: only `order` (not p-1)
     needs factoring, since it suffices that g**order ≡ 1 while
-    g**(order/q) != 1 for every prime q dividing order.
+    g**(order/q) != 1 for every prime q dividing order.  order is factored
+    under the default budget, as p-1 is by multiplicative_order.
     """
     if order < 1 or math.gcd(g, p) != 1:
         return False
     if pow(g, order, p) != 1:
         return False
-    f = factor(order, budget)
+    f = factor(order)
     if not f.complete:
         raise IncompleteFactorizationError(f"cannot factor order {order}")
     return all(pow(g, order // q, p) != 1 for q in f.primes())

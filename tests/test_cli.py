@@ -142,6 +142,7 @@ def test_order_command(capsys):
     code, out = run(capsys, "order", "--base", 2, "--mod", 257, "--format", "kv")
     assert code == 0 and kv(out)["order"] == "16"
     assert main(["order", "--base", "2", "--mod", "4"]) == 2
+    assert capsys.readouterr().err == "error: 4 is not prime\n"
 
 
 def test_cyclo_command(capsys):

@@ -13,7 +13,14 @@ from coversieve.cyclotomic import (
     load_exclusions,
     primes_of_order,
 )
-from coversieve.modarith import Budget, CapacityError, factor, verify_order
+from coversieve.modarith import (
+    Budget,
+    CapacityError,
+    factor,
+    is_probable_prime,
+    multiplicative_order,
+    verify_order,
+)
 
 from test_modarith import rho_spy
 
@@ -225,6 +232,30 @@ def test_primes_of_order_golden(args, expected):
         order=args[0], base=args[1], primes=primes, complete=complete,
         unfactored_cofactor=cofactor,
     )
+
+
+def test_order_check_factors_b_at_the_default_budget():
+    """A budget too small to factor b still lists the primes it finds: the
+    order check of each one factors b under the default budget."""
+    starved = Budget(trial_limit=2, rho_rounds=1, rho_restarts=1)
+    assert primes_of_order(9, 2, starved) == OrderPrimeSet(9, 2, (73,), True, 1)
+    for b in range(2, 400):
+        assert all(verify_order(2, p, b) for p in primes_of_order(b, 2, starved).primes)
+
+
+def test_trial_division_finds_every_prime_of_order_up_to_the_limit():
+    """With p-1 and rho off, trial division alone finds every prime of
+    order b up to the limit: it tries every c ≡ 1 (mod lcm(2, b))."""
+    limit = 2000
+    budget = Budget(trial_limit=limit, rho_rounds=0, rho_restarts=0)
+    for base in (2, 10):
+        want = {}
+        for p in range(3, limit + 1):
+            if base % p and is_probable_prime(p):
+                want.setdefault(multiplicative_order(base, p), set()).add(p)
+        for b in range(2, 201):
+            got = {p for p in primes_of_order(b, base, budget).primes if p <= limit}
+            assert got == want.get(b, set()), (b, base)
 
 
 def test_fermat_factors_golden():

@@ -191,6 +191,17 @@ def test_false_order_promise_still_factors_correctly(monkeypatch):
         factor(n, RHO_BUDGET, order=0)
 
 
+def test_false_order_promise_never_lists_a_composite():
+    """At order=7 trial division tries 15, 29, 43, ...: 15 divides 225 but
+    is not prime.  Only step 2 tries every prime, so only there is a
+    remainder up to the limit squared taken as prime without a test."""
+    for order in (3, 4, 7, 12, 36):
+        for n in range(2, 2001):
+            f = factor(n, RHO_BUDGET, order=order)
+            assert f.value() == n, (n, order)
+            assert all(is_probable_prime(p) for p in f.primes()), (n, order)
+
+
 def test_factor_takes_a_remainder_up_to_the_limit_squared_as_prime(monkeypatch):
     """Trial division to the limit leaves a remainder with no prime factor
     up to it, so a remainder up to limit^2 is prime without a test; above
