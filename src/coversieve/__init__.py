@@ -22,10 +22,8 @@ from .cyclotomic import (
 from .modarith import (
     Budget,
     CapacityError,
-    Congruence,
     FactorizationResult,
     IncompatibleCongruencesError,
-    IncompleteFactorizationError,
     crt_combine,
     factor,
     is_probable_prime,
@@ -35,7 +33,6 @@ from .modarith import (
 from .progression import (
     BrierCheck,
     CheckResult,
-    CombineConflictError,
     PrimeAssignment,
     ShiftResult,
     SievedProgression,

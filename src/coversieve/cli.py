@@ -24,9 +24,8 @@ from .covering import (
     verify_partitioned,
 )
 from .cyclotomic import cyclotomic_coeffs, cyclotomic_value, load_exclusions, primes_of_order
-from .modarith import factor, multiplicative_order
+from .modarith import IncompatibleCongruencesError, factor, multiplicative_order
 from .progression import (
-    CombineConflictError,
     PrimeAssignment,
     build_riesel,
     build_sierpinski,
@@ -126,6 +125,12 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.base is not None and args.kind != "digit":
+        print("error: --base needs --kind digit", file=sys.stderr)
+        return USAGE
+    if args.primes_riesel is not None and args.kind not in ("brier", "base2"):
+        print("error: --primes-riesel needs --kind brier or base2", file=sys.stderr)
+        return USAGE
     primes = dataset.load_primes_file(args.primes) if args.primes else []
     if args.kind in ("brier", "base2"):
         if not args.primes_riesel:
@@ -139,7 +144,7 @@ def cmd_check(args) -> int:
     elif args.kind == "brier":
         res = verify_brier(args.k, primes, primes_r)
     elif args.kind == "digit":
-        res = verify_digit_robust(args.k, primes, args.base)
+        res = verify_digit_robust(args.k, primes, 10 if args.base is None else args.base)
     else:
         res = verify_base2_delicate(args.k, primes, primes_r)
     pairs = [("kind", args.kind), ("k", args.k), ("ok", int(res.ok))]
@@ -194,7 +199,7 @@ def cmd_combine(args) -> int:
         parts.append(builder(_load_assignments(path), require_covering=not args.diagnostic))
     try:
         prog = combine_brier(parts)
-    except CombineConflictError as exc:
+    except IncompatibleCongruencesError as exc:
         _emit([("ok", 0), ("conflict_prime", exc.prime)], args.format)
         return FAIL
     _emit([("ok", 1), ("A", prog.A), ("B", prog.B)], args.format)
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--primes", required=True)
     p.add_argument("--primes-riesel")
-    p.add_argument("--base", type=int, default=10)
+    p.add_argument("--base", type=int)  # --kind digit only; 10 when omitted
     _add_common(p)
     p.set_defaults(fn=cmd_check)
 

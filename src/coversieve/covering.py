@@ -47,32 +47,13 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .modarith import CapacityError, factor
+from .modarith import CapacityError, ResidueClass, factor
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
 _SLICES = 1 << 12  # children whose classes are collected at a time
-
-
-@dataclass(frozen=True, order=True)
-class ResidueClass:
-    """The congruence class a (mod b); a is normalized into [0, b)."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.b}")
-        object.__setattr__(self, "a", self.a % self.b)
-
-    def contains(self, n: int) -> bool:
-        return n % self.b == self.a
-
-    def __str__(self):
-        return f"{self.a} (mod {self.b})"
 
 
 ALL_INTEGERS = ResidueClass(0, 1)
@@ -219,17 +200,39 @@ def auto_w(system: CoveringSystem) -> int:
     dividing the lcm of the moduli (taken from the factored moduli, never by
     factoring the lcm itself).  Target-restricted systems use their reduced
     moduli.  It is printed, not split by: w="auto" never calls it."""
-    return 4 * 3 * 5 * max(_Work(_offset_form(system)[0]).primes(), default=1)
+    return 4 * 3 * 5 * max(_primes(_offset_form(system)[0]), default=1)
+
+
+def _primes(classes: list[tuple[int, int]]) -> list[int]:
+    """The primes dividing some modulus of the classes, ascending; a modulus
+    that factor() leaves incomplete raises CapacityError.  The primes
+    already found are divided out of each modulus first, so factor() sees
+    only what is left above 1."""
+    primes, known = [], 1  # known: the product of primes
+    for b in {b for _, b in classes if b > 1}:
+        rest, g = b, math.gcd(b, known)
+        while g > 1:
+            rest //= g
+            g = math.gcd(rest, g)
+        if rest == 1:
+            continue
+        f = factor(rest)
+        if not f.complete:
+            raise CapacityError(
+                f"cannot factor modulus {b} within the factoring budget;"
+                " the residue tree splits only by known primes"
+            )
+        primes += f.primes()
+        known *= math.prod(f.primes())
+    return sorted(primes)
 
 
 class _Work:
     """What one verify_partitioned call or period check has spent: one
     unit per tree node, one per 64 class entries and one per 2^16 residues
-    scanned; more than WORK_CAP units raise CapacityError.  Also holds the
-    primes of the moduli, factored on the first split that needs them."""
+    scanned; more than WORK_CAP units raise CapacityError."""
 
-    def __init__(self, classes: list[tuple[int, int]]):
-        self.classes, self._primes, self.spent = classes, None, 0
+    spent = 0
 
     def charge(self, nodes: int = 0, entries: int = 0, residues: int = 0):
         self.spent += (nodes << 16) + (entries << 10) + residues  # in residues
@@ -238,31 +241,6 @@ class _Work:
                 f"verification needs more than {WORK_CAP} work units"
                 " (one per tree node, per 64 class entries and per 2^16 residues scanned)"
             )
-
-    def primes(self) -> list[int]:
-        """The primes dividing some modulus, ascending; a modulus that
-        factor() leaves incomplete raises CapacityError.  The primes already
-        found are divided out of each modulus first, so factor() sees only
-        what is left above 1."""
-        if self._primes is None:
-            primes, known = [], 1  # known: the product of primes
-            for b in {b for _, b in self.classes if b > 1}:
-                rest, g = b, math.gcd(b, known)
-                while g > 1:
-                    rest //= g
-                    g = math.gcd(rest, g)
-                if rest == 1:
-                    continue
-                f = factor(rest)
-                if not f.complete:
-                    raise CapacityError(
-                        f"cannot factor modulus {b} within the factoring budget;"
-                        " the residue tree splits only by known primes"
-                    )
-                primes += f.primes()
-                known *= math.prod(f.primes())
-            self._primes = sorted(primes)
-        return self._primes
 
 
 def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | None:
@@ -307,7 +285,7 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
     if period <= _CHUNK:  # a root within one chunk is one scan
         work.charge(residues=period)
         return _first_uncovered(classes, period)
-    best = math.inf
+    best, primes = math.inf, None  # primes: the root's, factored on the first pick
     inverse = cache(lambda step, b: (h := math.gcd(b, step), pow(step // h, -1, b // h)))
     stack = [iter([(None, 0, 1)])]  # the root is grouped once it picks a prime or splits
     while stack:
@@ -325,15 +303,15 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
         if period > _CHUNK:
             m, w = math.gcd(w, period), 1  # only the first split is by w
             if m == 1:  # the prime whose classes cover the most of the node
-                groups = groups or _grouped(classes)
-                m = max(work.primes(), key=lambda q: sum(
+                groups, primes = groups or _grouped(classes), primes or _primes(classes)
+                m = max(primes, key=lambda q: sum(
                     period // bp * len(rs) for _, bp, rs in groups if bp % q == 0))
         if period <= _CHUNK or period < m * (_CHUNK >> 4):  # a chunk is 16 units
             work.charge(residues=period)
-            if step > 1:  # the root's classes are in its own coordinate
-                classes = [((a - u) // h * inv % bp, bp) for b, bp, rs in groups
-                           for h, inv in [inverse(step, b)] for a in rs]
-            gap = _first_uncovered(classes, period)
+            scan = classes if step == 1 else [  # the root's classes are in its own coordinate
+                ((a - u) // h * inv % bp, bp) for b, bp, rs in groups
+                for h, inv in [inverse(step, b)] for a in rs]
+            gap = _first_uncovered(scan, period)
             if gap is not None:
                 best = min(best, u + step * gap)
             continue
@@ -401,7 +379,7 @@ def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict
     elif w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     classes, M, t = _offset_form(system)
-    gap = _least_gap(classes, w, _Work(classes))
+    gap = _least_gap(classes, w, _Work())
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)

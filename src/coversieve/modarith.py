@@ -9,44 +9,47 @@ included, so results are reproducible and safe to call from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 
 
 class IncompatibleCongruencesError(ValueError):
-    """Two congruences in a CRT system disagree modulo a shared prime power."""
+    """Two congruences in a CRT system disagree modulo a shared prime power.
 
-    def __init__(self, left: "Congruence", right: "Congruence", prime_power: int):
+    prime is the prime of that power, or the whole gcd of the two moduli
+    when factor() leaves the gcd incomplete, as prime_power is then."""
+
+    def __init__(self, left: ResidueClass, right: ResidueClass, prime: int, prime_power: int):
         super().__init__(
             f"congruences {left} and {right} conflict modulo {prime_power}"
         )
         self.left = left
         self.right = right
+        self.prime = prime
         self.prime_power = prime_power
 
 
-class IncompleteFactorizationError(ValueError):
-    """An operation required a complete factorization but got a partial one."""
-
-
 class CapacityError(ValueError):
-    """Requested computation exceeds a configured size cap."""
+    """Requested computation exceeds a size cap or the factoring budget."""
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """x ≡ residue (mod modulus). Residues are normalized into [0, modulus)."""
+@dataclass(frozen=True, order=True)
+class ResidueClass:
+    """The congruence class a (mod b); a is normalized into [0, b)."""
 
-    residue: int
-    modulus: int
+    a: int
+    b: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        if self.b < 1:
+            raise ValueError(f"modulus must be >= 1, got {self.b}")
+        object.__setattr__(self, "a", self.a % self.b)
+
+    def contains(self, n: int) -> bool:
+        return n % self.b == self.a
 
     def __str__(self):
-        return f"{self.residue} (mod {self.modulus})"
+        return f"{self.a} (mod {self.b})"
 
 
 @dataclass(frozen=True)
@@ -395,8 +398,8 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
 def multiplicative_order(g: int, p: int) -> int:
     """Least e >= 1 with g**e ≡ 1 (mod p), for prime p.
 
-    Factors p-1 under the default budget; refuses to guess from a partial
-    factorization.
+    Factors p-1 under the default budget; a partial factorization raises
+    CapacityError rather than guess.
     """
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -406,7 +409,7 @@ def multiplicative_order(g: int, p: int) -> int:
         return 1
     f = factor(p - 1)
     if not f.complete:
-        raise IncompleteFactorizationError(
+        raise CapacityError(
             f"factorization of {p - 1} is incomplete "
             f"(cofactor {f.cofactor}); cannot certify an order"
         )
@@ -431,43 +434,43 @@ def verify_order(g: int, p: int, order: int) -> bool:
         return False
     f = factor(order)
     if not f.complete:
-        raise IncompleteFactorizationError(f"cannot factor order {order}")
+        raise CapacityError(f"cannot factor order {order}")
     return all(pow(g, order // q, p) != 1 for q in f.primes())
 
 
-def _merge(c1: Congruence, c2: Congruence) -> Congruence:
+def _merge(c1: ResidueClass, c2: ResidueClass) -> ResidueClass:
     # crt_combine has checked every pair, and pairwise compatible
     # congruences have a common solution, so c1 and c2 agree modulo g
-    g = math.gcd(c1.modulus, c2.modulus)
-    m2g = c2.modulus // g
-    t = (c2.residue - c1.residue) // g * pow(c1.modulus // g, -1, m2g) % m2g
-    return Congruence(c1.residue + c1.modulus * t, c1.modulus * m2g)
+    g = math.gcd(c1.b, c2.b)
+    m2g = c2.b // g
+    t = (c2.a - c1.a) // g * pow(c1.b // g, -1, m2g) % m2g
+    return ResidueClass(c1.a + c1.b * t, c1.b * m2g)
 
 
-def _conflict_prime_power(c1: Congruence, c2: Congruence, g: int) -> int:
-    diff = c1.residue - c2.residue
-    f = factor(g) if g > 1 else FactorizationResult(())
-    for p, e in f.factors:
-        pe = p ** e
-        if diff % pe != 0:
-            return pe
-    # partial factorization: fall back to the whole gcd
-    return g
+def _conflict_prime_power(c1: ResidueClass, c2: ResidueClass, g: int) -> tuple[int, int]:
+    """(p, p^e) for the first prime power of g on which c1 and c2 disagree;
+    (g, g) if factor() leaves g incomplete and they agree on every power
+    it found."""
+    for p, e in factor(g).factors:
+        if (c1.a - c2.a) % p ** e != 0:
+            return p, p ** e
+    return g, g
 
 
-def crt_combine(congruences: list[Congruence]) -> Congruence:
+def crt_combine(congruences: list[ResidueClass]) -> ResidueClass:
     """Simultaneous solution of congruences with arbitrary (non-coprime)
     moduli: returns the minimal residue modulo the lcm, or raises
-    IncompatibleCongruencesError naming the clashing pair.
+    IncompatibleCongruencesError naming the clashing pair and the prime on
+    which they clash.
 
     Pairwise compatibility is checked up front (it is equivalent to global
     solvability), so errors always name two of the original congruences.
     """
     if not congruences:
         raise ValueError("crt_combine needs at least one congruence")
-    for i, a in enumerate(congruences):
-        for b in congruences[i + 1:]:
-            g = math.gcd(a.modulus, b.modulus)
-            if (a.residue - b.residue) % g != 0:
-                raise IncompatibleCongruencesError(a, b, _conflict_prime_power(a, b, g))
+    for i, x in enumerate(congruences):
+        for y in congruences[i + 1:]:
+            g = math.gcd(x.b, y.b)
+            if (x.a - y.a) % g != 0:
+                raise IncompatibleCongruencesError(x, y, *_conflict_prime_power(x, y, g))
     return reduce(_merge, congruences)

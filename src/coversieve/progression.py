@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .covering import CoveringSystem, ResidueClass, _least_gap, _Work, verify_partitioned
+from .covering import CoveringSystem, _least_gap, _Work, verify_partitioned
 from .modarith import (
     CapacityError,
-    Congruence,
     FactorizationResult,
-    IncompatibleCongruencesError,
+    ResidueClass,
     crt_combine,
     factor,
     is_probable_prime,
@@ -30,14 +29,6 @@ from .modarith import (
 )
 
 MATERIALIZE_BITS = 5_000_000
-
-
-class CombineConflictError(ValueError):
-    """Two progressions disagree modulo a shared prime."""
-
-    def __init__(self, prime: int):
-        super().__init__(f"progressions disagree modulo the shared prime {prime}")
-        self.prime = prime
 
 
 @dataclass(frozen=True)
@@ -140,12 +131,12 @@ def _build(assignments, kind: str, require_covering: bool):
     cert = [(kind, asg.cls.a, asg.cls.b, asg.prime) for asg in assignments]
     primes = [p for *_, p in cert]
     combined = crt_combine(
-        [Congruence(1, 2)] + [Congruence(_SIGN[kind] * pow(2, -a, p), p) for _, a, _, p in cert]
+        [ResidueClass(1, 2)] + [ResidueClass(_SIGN[kind] * pow(2, -a, p), p) for _, a, _, p in cert]
     )
     A = 2 * math.prod(primes)
-    if combined.modulus != A:
+    if combined.b != A:
         raise AssertionError("CRT modulus does not match 2 * product of primes")
-    return _assemble(A, combined.residue, kind, {2, *primes}, cert)
+    return _assemble(A, combined.a, kind, {2, *primes}, cert)
 
 
 def build_sierpinski(assignments, require_covering: bool = True) -> SievedProgression:
@@ -163,17 +154,13 @@ def build_riesel(assignments, require_covering: bool = True) -> SievedProgressio
 def combine_brier(parts) -> SievedProgression:
     """Merge progressions by CRT into one progression satisfying all of
     their certificates.  Prime sets may overlap only where the offsets
-    already agree; a disagreement raises CombineConflictError naming the
-    prime."""
+    already agree; a disagreement raises IncompatibleCongruencesError, whose
+    .prime names the prime."""
     parts = list(parts)
     if not parts:
         raise ValueError("no parts to combine")
-    try:
-        combined = crt_combine([Congruence(p.B, p.A) for p in parts])
-    except IncompatibleCongruencesError as exc:
-        f = factor(exc.prime_power)
-        raise CombineConflictError(f.primes()[0] if f.factors else exc.prime_power)
-    return _assemble(combined.modulus, combined.residue, "brier",
+    combined = crt_combine([ResidueClass(p.B, p.A) for p in parts])
+    return _assemble(combined.b, combined.a, "brier",
                      frozenset().union(*(p.primes for p in parts)),
                      [entry for part in parts for entry in part.certificate])
 
@@ -234,8 +221,7 @@ def _period_check(base: int, cases, orders: dict[int, int] | None = None):
     for want in wanted:
         for p, r in want.items():
             residues.setdefault(p, set()).add(r)
-    # the hit classes' moduli are these orders, or 1
-    work = _Work([(0, orders[p]) for p in residues])
+    work = _Work()
     logs = {}
     cert = []
     periods = []
@@ -335,7 +321,7 @@ def verify_digit_robust(k: int, primes, base: int = 10) -> CheckResult:
     # each of the 2(base-1) cases is the root of its own tree and computes one
     # residue per prime: a node per case and an entry per residue, so that a
     # base whose cases alone pass WORK_CAP is refused before any is built
-    _Work([]).charge(nodes=2 * (base - 1), entries=2 * (base - 1) * len(primes))
+    _Work().charge(nodes=2 * (base - 1), entries=2 * (base - 1) * len(primes))
     # k + d*base^n ≡ 0 (mod p)  <=>  d*base^n ≡ -k (mod p)
     cases =[(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
     failure, L, cert = _period_check(base, cases)
@@ -462,7 +448,7 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
     if fa.complete and max(fa.primes(), default=1) <= base:
         raise ValueError(f"A = {A} has no prime divisor > base {base}")
     if not fa.complete:
-        raise ValueError(
+        raise CapacityError(
             f"cannot certify φ: the base-coprime part {a_prime} of A resists "
             f"factorization under the factoring budget"
         )

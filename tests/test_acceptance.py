@@ -19,7 +19,7 @@ from coversieve.covering import (
 )
 from coversieve.cyclotomic import cyclotomic_value, primes_of_order
 from coversieve.dataset import appendix_data, c0_system, consistency_audit, table2_rows, verify_table1
-from coversieve.modarith import Congruence, crt_combine
+from coversieve.modarith import crt_combine
 from coversieve.progression import (
     PrimeAssignment,
     build_riesel,
@@ -200,10 +200,10 @@ def test_criterion_7_oracle_equivalence():
             for _ in range(rng.randint(1, 4))
         ]
         x0 = rng.randrange(10**6)
-        combined = crt_combine([Congruence(x0 % m, m) for m in moduli])
+        combined = crt_combine([ResidueClass(x0 % m, m) for m in moduli])
         ell = math.lcm(*moduli)
         brute = next(x for x in range(ell) if all(x % m == x0 % m for m in moduli))
-        if (combined.residue, combined.modulus) != (brute, ell):
+        if (combined.a, combined.b) != (brute, ell):
             crt_failures += 1
 
     report(

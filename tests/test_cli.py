@@ -229,6 +229,32 @@ def test_check_refuses_a_digit_base_beyond_the_bound_at_once(capsys, tmp_path, m
     assert err.startswith("error: verification needs more than 100000 work units") and err.count("\n") == 1
 
 
+def test_check_refuses_a_flag_its_kind_ignores(capsys, tmp_path):
+    f = tmp_path / "selfridge.txt"
+    f.write_text("".join(f"{p}\n" for p in sd.SELFRIDGE_PRIMES))
+    base = "error: --base needs --kind digit\n"
+    riesel = "error: --primes-riesel needs --kind brier or base2\n"
+    for kind, flags, expected in (
+        ("sierpinski", ["--base", "3", "--primes-riesel", f], base),
+        ("riesel", ["--base", "10"], base),
+        ("brier", ["--base", "10", "--primes-riesel", f], base),
+        ("base2", ["--base", "2", "--primes-riesel", f], base),
+        ("sierpinski", ["--primes-riesel", f], riesel),
+        ("riesel", ["--primes-riesel", f], riesel),
+        ("digit", ["--base", "10", "--primes-riesel", f], riesel),
+    ):
+        code = main(["check", "--kind", kind, "--k", "78557", "--primes", str(f), *map(str, flags)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == expected, (kind, flags)
+    # --kind digit without --base is base 10 (5 divides 10, so no 5 here)
+    g = tmp_path / "digit.txt"
+    g.write_text("3\n7\n11\n13\n37\n")
+    default = run(capsys, "check", "--kind", "digit", "--k", 78557, "--primes", g, "--format", "kv")
+    ten = run(capsys, "check", "--kind", "digit", "--k", 78557, "--primes", g, "--base", 10,
+              "--format", "kv")
+    assert default == ten and default[1].startswith("kind=digit\n")
+
+
 # check's --base: small, or up to 10^18, mostly past the 2(base-1) cases
 # WORK_CAP lets a digit check build
 _BASE = st.one_of(st.integers(-1, 12), st.integers(13, 10**18))
@@ -237,20 +263,21 @@ _BASE = st.one_of(st.integers(-1, 12), st.integers(13, 10**18))
 @st.composite
 def check_argv(draw):
     """check's flags at every --kind, bases up to 10^18, with prime files of
-    small primes, 2, composites, divisors of the base, or nothing."""
+    small primes, 2, composites, divisors of the base, or nothing; now and
+    then with both --base and --primes-riesel, which no kind takes together."""
     kind = draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2")))
     k = draw(st.one_of(st.integers(-3, 300), st.sampled_from((78557, 509203, 3367034))))
     base = draw(_BASE)
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 37, 41, 73, 241, 0, 1, 4, 9, 15, 91, -7]
     pool += [d for d in range(1, min(base, 300) + 1) if base % d == 0]
     files = draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=2, max_size=2))
-    return kind, k, base, files
+    return kind, k, base, files, draw(st.integers(0, 4)) == 0
 
 
 @given(check_argv())
 @settings(max_examples=100, deadline=None)
 def test_check_fuzz_exits_with_an_answer_or_one_error(argv):
-    kind, k, base, files = argv
+    kind, k, base, files, stray = argv
     with tempfile.TemporaryDirectory() as d:
         paths = [os.path.join(d, f"{i}.txt") for i in range(2)]
         for path, primes in zip(paths, files):
@@ -258,9 +285,11 @@ def test_check_fuzz_exits_with_an_answer_or_one_error(argv):
                 fh.write("".join(f"{p}\n" for p in primes))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", "--kind", kind, "--k", str(k), "--base", str(base),
-                         "--primes", paths[0], "--primes-riesel", paths[1]])
+            code = main(["check", "--kind", kind, "--k", str(k), "--primes", paths[0]]
+                        + (["--base", str(base)] if stray or kind == "digit" else [])
+                        + (["--primes-riesel", paths[1]] if stray or kind in ("brier", "base2") else []))
     assert code in (0, 1, 2), err.getvalue()
+    assert not stray or code == 2
     assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
     assert code != 2 or (out.getvalue() == "" and err.getvalue().startswith("error:"))
 
@@ -350,9 +379,10 @@ def subcommand_argv(draw):
             kind = draw(st.sampled_from(("sierpinski", "riesel", "brier", "")))
             argv += ["--part", f"{kind}:{file(draw(assignment_file()))}" if draw(st.integers(0, 7)) else kind]
     else:
-        argv += ["--kind", draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2"))),
-                 "--k", draw(st.integers(-3, 300)), "--base", draw(_BASE),
-                 "--primes", file(draw(integer_file()))]
+        kind = draw(st.sampled_from(("sierpinski", "riesel", "brier", "digit", "base2")))
+        argv += ["--kind", kind, "--k", draw(st.integers(-3, 300)), "--primes", file(draw(integer_file()))]
+        if kind == "digit" or draw(st.integers(0, 4)) == 0:  # other kinds refuse --base
+            argv += ["--base", draw(_BASE)]
         if draw(st.booleans()):
             argv += ["--primes-riesel", file(draw(integer_file()))]
     if cmd in ("build", "combine") and draw(st.booleans()):

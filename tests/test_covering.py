@@ -124,7 +124,7 @@ def test_work_primes_factor_only_what_is_left(monkeypatch):
     classes = covering._offset_form(appendix_data().cov_ries.system)[0]
     seen = []
     monkeypatch.setattr(covering, "factor", lambda b: seen.append(b) or factor(b))
-    primes = covering._Work(classes).primes()
+    primes = covering._primes(classes)
     moduli = {b for _, b in classes if b > 1}
     assert primes == sorted({p for b in moduli for p in factor(b).primes()})
     assert 1 not in seen and len(seen) < len(moduli)
@@ -134,7 +134,7 @@ def test_work_primes_factor_only_what_is_left(monkeypatch):
     starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
     monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
     with pytest.raises(CapacityError, match=f"cannot factor modulus {2 * n} "):
-        covering._Work([(0, 2), (1, 4), (0, 2 * n)]).primes()
+        covering._primes([(0, 2), (1, 4), (0, 2 * n)])
 
 
 def test_auto_w_rule():

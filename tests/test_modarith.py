@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from coversieve import modarith
 from coversieve.modarith import (
     Budget,
-    Congruence,
+    CapacityError,
     FactorizationResult,
     IncompatibleCongruencesError,
-    IncompleteFactorizationError,
+    ResidueClass,
     crt_combine,
     factor,
     is_probable_prime,
@@ -256,8 +256,10 @@ def test_multiplicative_order_refuses_partial_factorization(monkeypatch):
     starved = Budget(trial_limit=10, rho_rounds=5, rho_restarts=1)
     assert not factor(P - 1, starved).complete
     monkeypatch.setattr(modarith, "factor", lambda n: factor(n, starved))
-    with pytest.raises(IncompleteFactorizationError):
+    with pytest.raises(CapacityError):
         multiplicative_order(3, P)
+    with pytest.raises(CapacityError, match=f"cannot factor order {P - 1}$"):
+        verify_order(3, P, P - 1)
 
 
 def test_order_divisibility_property():
@@ -282,24 +284,29 @@ def test_verify_order():
 
 
 def test_crt_examples():
-    c = crt_combine([Congruence(4, 5), Congruence(1, 2)])
-    assert (c.residue, c.modulus) == (9, 10)
-    c = crt_combine([Congruence(2, 6), Congruence(5, 9)])
-    assert (c.residue, c.modulus) == (14, 18)
+    c = crt_combine([ResidueClass(4, 5), ResidueClass(1, 2)])
+    assert (c.a, c.b) == (9, 10)
+    c = crt_combine([ResidueClass(2, 6), ResidueClass(5, 9)])
+    assert (c.a, c.b) == (14, 18)
     with pytest.raises(IncompatibleCongruencesError) as exc:
-        crt_combine([Congruence(0, 2), Congruence(1, 2)])
-    assert exc.value.prime_power == 2
-    assert exc.value.left == Congruence(0, 2)
-    assert exc.value.right == Congruence(1, 2)
+        crt_combine([ResidueClass(0, 2), ResidueClass(1, 2)])
+    assert exc.value.prime_power == 2 and exc.value.prime == 2
+    assert exc.value.left == ResidueClass(0, 2)
+    assert exc.value.right == ResidueClass(1, 2)
     with pytest.raises(ValueError):
         crt_combine([])
+    # the gcd is 9: the two agree mod 3 and clash mod 9
+    with pytest.raises(IncompatibleCongruencesError) as exc:
+        crt_combine([ResidueClass(0, 18), ResidueClass(3, 45)])
+    assert exc.value.prime == 3 and exc.value.prime_power == 9
+    assert str(exc.value) == "congruences 0 (mod 18) and 3 (mod 45) conflict modulo 9"
 
 
 def test_congruence_normalization():
-    assert Congruence(-1, 5).residue == 4
-    assert Congruence(17, 5).residue == 2
+    assert ResidueClass(-1, 5).a == 4
+    assert ResidueClass(17, 5).a == 2
     with pytest.raises(ValueError):
-        Congruence(0, 0)
+        ResidueClass(0, 0)
 
 
 @given(
@@ -308,7 +315,7 @@ def test_congruence_normalization():
 )
 @settings(max_examples=200)
 def test_crt_matches_construction(x, moduli):
-    c = crt_combine([Congruence(x % m, m) for m in moduli])
-    assert all(c.residue % m == x % m for m in moduli)
-    assert c.modulus == math.lcm(*moduli)
-    assert 0 <= c.residue < c.modulus
+    c = crt_combine([ResidueClass(x % m, m) for m in moduli])
+    assert all(c.a % m == x % m for m in moduli)
+    assert c.b == math.lcm(*moduli)
+    assert 0 <= c.a < c.b

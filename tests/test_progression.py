@@ -5,20 +5,21 @@ import random
 
 import pytest
 
-from coversieve import covering, progression
+from coversieve import covering, modarith, progression
 from coversieve.covering import ResidueClass
 from coversieve.cyclotomic import primes_of_order
 from coversieve.modarith import (
+    Budget,
     CapacityError,
-    Congruence,
+    IncompatibleCongruencesError,
     crt_combine,
+    factor,
     is_probable_prime,
     multiplicative_order,
 )
 from coversieve.progression import (
     BrierCheck,
     CheckResult,
-    CombineConflictError,
     PrimeAssignment,
     SievedProgression,
     build_riesel,
@@ -104,9 +105,33 @@ def test_combine_brier_conflict_names_prime():
     ps = build_sierpinski(assignment([(0, 4, 5)]), require_covering=False)
     pr = build_riesel(assignment([(0, 4, 5)]), require_covering=False)
     assert pr.B % 10 == 1
-    with pytest.raises(CombineConflictError) as exc:
+    with pytest.raises(IncompatibleCongruencesError) as exc:
         combine_brier([ps, pr])
     assert exc.value.prime == 5
+
+
+def test_combine_brier_conflict_factors_only_the_gcd_once(monkeypatch):
+    ps = build_sierpinski(assignment([(0, 4, 5)]), require_covering=False)
+    pr = build_riesel(assignment([(0, 4, 5)]), require_covering=False)
+    seen = []
+    monkeypatch.setattr(modarith, "factor", lambda n: seen.append(n) or factor(n))
+    monkeypatch.setattr(progression, "factor", lambda n: pytest.fail(f"combine_brier factored {n}"))
+    with pytest.raises(IncompatibleCongruencesError) as exc:
+        combine_brier([ps, pr])
+    assert seen == [10]  # the gcd of the two A, by crt_combine
+    assert (exc.value.prime, exc.value.prime_power) == (5, 5)
+
+
+def test_combine_conflict_in_an_unfactored_gcd_reports_the_gcd(monkeypatch):
+    # 1 and 7 (mod 30) agree mod 2 and 3 and clash mod 5; a starved factor()
+    # finds only 2, where they agree, so the conflict names the whole gcd
+    starved = Budget(trial_limit=2, rho_rounds=0, rho_restarts=0)
+    assert factor(30, starved).factors == ((2, 1),) and factor(30, starved).cofactor == 15
+    monkeypatch.setattr(modarith, "factor", lambda n: factor(n, starved))
+    parts = [SievedProgression(30, B, "sierpinski", frozenset(), ()) for B in (1, 7)]
+    with pytest.raises(IncompatibleCongruencesError) as exc:
+        combine_brier(parts)
+    assert (exc.value.prime, exc.value.prime_power) == (30, 30)
 
 
 def test_combine_three_disjoint_parts_matches_brute_force():
@@ -312,8 +337,8 @@ def test_base2_delicate_crt_toys_agree_with_brute_force():
     for _ in range(25):
         residues = [(-pow(2, rng.randrange(o), p)) % p for p, o in ((3, 2), (5, 4), (17, 8))]
         k = crt_combine(
-            [Congruence(r, p) for r, p in zip(residues, (3, 5, 17))] + [Congruence(1, 2)]
-        ).residue
+            [ResidueClass(r, p) for r, p in zip(residues, (3, 5, 17))] + [ResidueClass(1, 2)]
+        ).a
         res = verify_base2_delicate(k, [3, 5, 17], [3, 5, 17])
         L = 8
         brute = all(
@@ -782,6 +807,14 @@ def test_shift_preconditions():
         subprogression_shift(7 * 1000003, 1, 1000003)
     with pytest.raises(ValueError, match="gcd"):
         subprogression_shift(130, 13, 10)
+
+
+def test_shift_refuses_an_a_prime_it_cannot_factor(monkeypatch):
+    # the base 10 factors under the starved budget; A' = 10007 * 10009 does not
+    starved = Budget(trial_limit=10, rho_rounds=0, rho_restarts=0)
+    monkeypatch.setattr(progression, "factor", lambda n: factor(n, starved))
+    with pytest.raises(CapacityError, match="the base-coprime part 100160063 of A resists"):
+        subprogression_shift(10 * 10007 * 10009, 1, 10)
 
 
 def test_shift_ell_waits_for_u():
