@@ -54,11 +54,14 @@ def _parse_target(spec: str) -> ResidueClass:
 
 
 def cmd_verify(args) -> int:
+    if args.w is not None and args.method == "naive":
+        print("error: --w needs --method partitioned or both", file=sys.stderr)
+        return USAGE
     loaded = dataset.load_covering(args.file)
     system = loaded.system
     if args.target:
         system = CoveringSystem(system.classes, _parse_target(args.target))
-    w = args.w if args.w == "auto" else int(args.w)
+    w = "auto" if args.w in (None, "auto") else int(args.w)
     pairs = [
         ("file", args.file),
         ("classes", len(system.classes)),
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--target", help="restrict to target a:b")
     p.add_argument("--method", choices=("naive", "partitioned", "both"), default="partitioned")
-    p.add_argument("--w", default="auto")
+    p.add_argument("--w", help="slice width: auto (the default) or an integer")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 

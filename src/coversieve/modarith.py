@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 
 class IncompatibleCongruencesError(ValueError):
@@ -438,10 +438,8 @@ def verify_order(g: int, p: int, order: int) -> bool:
     return all(pow(g, order // q, p) != 1 for q in f.primes())
 
 
-def _merge(c1: ResidueClass, c2: ResidueClass) -> ResidueClass:
-    # crt_combine has checked every pair, and pairwise compatible
-    # congruences have a common solution, so c1 and c2 agree modulo g
-    g = math.gcd(c1.b, c2.b)
+def _merge(c1: ResidueClass, c2: ResidueClass, g: int) -> ResidueClass:
+    # crt_combine has checked that c1 and c2 agree modulo g = gcd(c1.b, c2.b)
     m2g = c2.b // g
     t = (c2.a - c1.a) // g * pow(c1.b // g, -1, m2g) % m2g
     return ResidueClass(c1.a + c1.b * t, c1.b * m2g)
@@ -463,14 +461,22 @@ def crt_combine(congruences: list[ResidueClass]) -> ResidueClass:
     IncompatibleCongruencesError naming the clashing pair and the prime on
     which they clash.
 
-    Pairwise compatibility is checked up front (it is equivalent to global
+    The congruences merge left to right.  Only a failed merge scans the
+    pairs, one of which then clashes (pairwise compatibility is global
     solvability), so errors always name two of the original congruences.
     """
     if not congruences:
         raise ValueError("crt_combine needs at least one congruence")
+    acc = congruences[0]
+    for c in congruences[1:]:
+        g = math.gcd(acc.b, c.b)
+        if (c.a - acc.a) % g != 0:
+            break
+        acc = _merge(acc, c, g)
+    else:
+        return acc
     for i, x in enumerate(congruences):
         for y in congruences[i + 1:]:
             g = math.gcd(x.b, y.b)
             if (x.a - y.a) % g != 0:
                 raise IncompatibleCongruencesError(x, y, *_conflict_prime_power(x, y, g))
-    return reduce(_merge, congruences)

@@ -6,13 +6,14 @@ k = Am + B makes k*2^n + 1 (or k*2^n - 1) divisible by one of the primes.
 This module builds such progressions from assignments, combines compatible
 ones into dual-sieve (Brier) progressions, and independently verifies the
 divisibility properties for concrete k, each prime hitting one class of n
-modulo its order, on the residue tree of verify_partitioned under its
-WORK_CAP.  Shifted integers above the fixed MATERIALIZE_BITS are refused
-with CapacityError.
+modulo its order, found by one walk over the powers of the base, on the
+residue tree of verify_partitioned under its WORK_CAP.  Shifted integers
+above the fixed MATERIALIZE_BITS are refused with CapacityError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .modarith import (
     crt_combine,
     factor,
     is_probable_prime,
-    multiplicative_order,
     verify_order,
 )
 
@@ -169,73 +169,63 @@ def combine_brier(parts) -> SievedProgression:
 # direct verification of concrete k
 
 
-def _discrete_logs(base: int, p: int, order: int, residues) -> dict[int, int]:
-    """r -> least a in [0, order) with base^a ≡ r (mod p), for each r of
-    residues that is a power of base modulo the prime p.  A residue r is
-    one iff r^order ≡ 1, so the others are dropped up front and one walk
-    over the powers of base stops once it has met every residue left."""
-    left = {r for r in residues if pow(r, order, p) == 1}
-    logs = {}
-    x = 1
-    for a in range(order):
-        if not left:
-            break
-        if x in left:
-            left.remove(x)
-            logs[x] = a
-        x = x * base % p
-    return logs
+def _walk(base: int, p: int, residues, work: _Work) -> tuple[int, dict[int, int]]:
+    """(ord_p(base), logs): one walk x -> x*base (mod p) from 1 back to 1,
+    its step count the order, logs mapping each r of residues that it meets
+    to the least a with base^a ≡ r.  Each step is charged to work as one
+    class entry, 64 at a time, so a walk past WORK_CAP stops there."""
+    logs, x = {}, 1
+    for start in itertools.count(0, 64):
+        for n in range(start, start + 64):
+            if x in residues:
+                logs[x] = n
+            x = x * base % p
+            if x == 1:
+                work.charge(entries=n + 1 - start)
+                return n + 1, logs
+        work.charge(entries=64)
 
 
-def _period_check(base: int, cases, orders: dict[int, int] | None = None):
+def _period_check(base: int, cases):
     """Shared core of the period checks.
 
     Each case (label, coeff, target, primes) asks whether every n >= 0 has
     a prime p in its set with coeff * base^n ≡ target (mod p).  A prime
     dividing coeff hits every n (class 0 mod 1) when it also divides target
     and no n otherwise; any other prime hits n ≡ a (mod ord_p(base)), a the
-    discrete log of target/coeff, found by one walk per prime for all the
-    cases at once, made when the first case to hold the prime reaches it.
-    Cases are checked in order, each by the residue tree (_least_gap) over
-    its hit classes, against one cumulative certificate of (label, a,
-    order, p) entries.  Returns (failure, period, certificate): failure is
-    (label, least uncovered n) for the first failing case, with period the
-    lcm of its primes' orders, else None with period the lcm over all
-    cases.  One _Work bounds the call's trees and walks by WORK_CAP, each
-    walk charged one class entry per step of ord_p before the case's first.
-
-    orders maps primes to their orders of base.  The primes it lacks are
-    computed in increasing order and added to it, so checks that share one
-    dict compute each order once.
+    discrete log of target/coeff.  Each prime's order and logs for all the
+    cases come from one _walk, made when the first case that holds the
+    prime is checked; that case walks all its primes, as its period is the
+    lcm of their orders.  Cases are checked in order, each by the residue
+    tree (_least_gap) over its hit classes, against one cumulative
+    certificate of (label, a, order, p) entries.  Returns (failure, period,
+    certificate): failure is (label, least uncovered n) for the first
+    failing case, with period the lcm of its primes' orders, else None with
+    period the lcm over all cases.  One _Work bounds the call's walks and
+    trees by WORK_CAP.  Every prime is tested for primality up front.
     """
-    orders = {} if orders is None else orders
-    for p in sorted(set().union(*(primes for _, _, _, primes in cases))):
-        if p not in orders:
-            orders[p] = multiplicative_order(base, p)
+    for p in sorted(set().union(*(primes for *_, primes in cases))):
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
     # per case, the residue target/coeff (mod p) that base^n must hit
     wanted = [
         {p: target * pow(coeff, -1, p) % p for p in primes if coeff % p}
         for _, coeff, target, primes in cases
     ]
-    residues = {}
-    for want in wanted:
-        for p, r in want.items():
-            residues.setdefault(p, set()).add(r)
     work = _Work()
-    logs = {}
+    walks = {}
     cert = []
     periods = []
     for (label, _, target, primes), want in zip(cases, wanted):
-        periods.append(math.lcm(*(orders[p] for p in primes)))
-        # a walk takes up to ord_p steps, each cheaper than a class entry,
-        # so the charge bounds it before it starts
-        work.charge(entries=sum(orders[p] for p in want if p not in logs))
+        for p in primes:
+            if p not in walks:
+                walks[p] = _walk(base, p, {w[p] for w in wanted if p in w}, work)
+        periods.append(math.lcm(*(walks[p][0] for p in primes)))
         classes = []
         for p in primes:
             if p in want:
-                if p not in logs:
-                    logs[p] = _discrete_logs(base, p, orders[p], residues[p])
-                a, o = logs[p].get(want[p]), orders[p]
+                o, logs = walks[p]
+                a = logs.get(want[p])
                 if a is None:
                     continue
             elif target % p:
@@ -250,16 +240,16 @@ def _period_check(base: int, cases, orders: dict[int, int] | None = None):
     return None, math.lcm(*periods), tuple(cert)
 
 
-def _verify_pm(k, primes, kind, orders=None):
+def _verify_pm(k, primes, kind):
     """Shared core of verify_sierpinski / verify_riesel: one _period_check
-    case, k*2^n - _SIGN[kind] for n >= 0.  orders is passed on to it."""
+    case, k*2^n - _SIGN[kind] for n >= 0."""
     sign = _SIGN[kind]
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"k must be a positive odd integer, got {k}")
     primes = sorted(set(primes))
     if 2 in primes:
         raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
-    failure, L, cert = _period_check(2, [(kind, k, sign, primes)], orders)
+    failure, L, cert = _period_check(2, [(kind, k, sign, primes)])
     if failure is not None:
         gap = failure[1]
         return CheckResult(
@@ -292,11 +282,10 @@ def verify_riesel(k: int, primes) -> CheckResult:
 
 
 def verify_brier(k: int, primes_s, primes_r) -> BrierCheck:
-    """k is Brier (relative to the two certificates) iff both checks pass.
-    The order of each prime is computed once, whichever sets hold it."""
-    orders = {}
-    s = _verify_pm(k, primes_s, "sierpinski", orders)
-    r = _verify_pm(k, primes_r, "riesel", orders)
+    """k is Brier (relative to the two certificates) iff both checks pass;
+    each check walks its own primes."""
+    s = _verify_pm(k, primes_s, "sierpinski")
+    r = _verify_pm(k, primes_r, "riesel")
     return BrierCheck(s.ok and r.ok, s, r)
 
 

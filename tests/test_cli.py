@@ -45,6 +45,20 @@ def test_verify_c0_both(capsys, datadir):
     assert d["covered"] == "1" and d["lcm"] == "9" and d["classes"] == "5"
 
 
+def test_verify_refuses_a_width_its_method_ignores(capsys, datadir):
+    c0 = datadir / "c0.cov"
+    for w in ("0", "auto", "banana"):
+        code = main(["verify", str(c0), "--method", "naive", "--w", w])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: --w needs --method partitioned or both\n", w
+    assert run(capsys, "verify", c0, "--method", "naive")[0] == 0
+    code, out = run(capsys, "verify", c0, "--method", "both", "--w", 3, "--format", "kv")
+    assert code == 0 and kv(out)["w"] == "3"
+    assert run(capsys, "verify", c0, "--format", "kv") == run(
+        capsys, "verify", c0, "--w", "auto", "--format", "kv")
+
+
 def test_verify_appendix_files(capsys, datadir):
     code, out = run(
         capsys, "verify", datadir / "sierpinski.cov",

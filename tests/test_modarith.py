@@ -300,6 +300,12 @@ def test_crt_examples():
         crt_combine([ResidueClass(0, 18), ResidueClass(3, 45)])
     assert exc.value.prime == 3 and exc.value.prime_power == 9
     assert str(exc.value) == "congruences 0 (mod 18) and 3 (mod 45) conflict modulo 9"
+    # the first failing merge meets 1 (mod 5); the error still names the
+    # first clashing pair of the originals
+    with pytest.raises(IncompatibleCongruencesError) as exc:
+        crt_combine([ResidueClass(0, 3), ResidueClass(0, 5), ResidueClass(1, 5), ResidueClass(1, 3)])
+    assert exc.value.left == ResidueClass(0, 3) and exc.value.right == ResidueClass(1, 3)
+    assert exc.value.prime == 3 and exc.value.prime_power == 3
 
 
 def test_congruence_normalization():

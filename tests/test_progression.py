@@ -240,33 +240,48 @@ def test_period_cap(monkeypatch):
     assert verify_sierpinski(78557, sd.SELFRIDGE_PRIMES).ok
 
 
-def test_period_cap_comes_before_any_walk(monkeypatch):
-    """A prime whose walk would pass WORK_CAP is refused before the walk
-    over its powers: 2 is a primitive root of 1000000000091, so a walk
-    would take up to 10^12 steps."""
+def test_period_cap_stops_a_walk_within_one_unit(monkeypatch):
+    """A walk is charged to WORK_CAP as it goes, 64 steps at a time, so a
+    prime of order above the cap is refused once the walk has spent it:
+    2 is a primitive root of 1000000000091, whose walk would take 10^12
+    steps."""
     big = 1000000000091
     assert multiplicative_order(2, big) == big - 1
-    walked, real = [], progression._discrete_logs
+    works, real = [], progression._Work
 
-    def spy(base, p, order, residues):
-        walked.append(p)
-        return real(base, p, order, residues)
+    def spy():
+        works.append(real())
+        return works[-1]
 
-    monkeypatch.setattr(progression, "_discrete_logs", spy)
+    def spent_within_one_unit_past_the_cap():
+        # charges stop within 64 class entries (2^16 residues) past the cap
+        return covering.WORK_CAP << 16 < works[-1].spent <= (covering.WORK_CAP + 1) << 16
+
+    monkeypatch.setattr(progression, "_Work", spy)
     for check in (verify_sierpinski, verify_riesel):
         with pytest.raises(CapacityError, match="work units"):
             check(big + 2, [3, big])
-    assert walked == []
-    # the Sierpinski side passes, walking its primes; the Riesel side is refused
+        assert spent_within_one_unit_past_the_cap()
+    # the Sierpinski side passes; the Riesel side is refused
+    works.clear()
     with pytest.raises(CapacityError, match="work units"):
         verify_brier(78557, sd.SELFRIDGE_PRIMES, [big])
-    assert sorted(walked) == sorted(sd.SELFRIDGE_PRIMES)
-    # a cap of one unit (64 entries) refuses Selfridge's 84 before any walk
-    walked.clear()
+    assert len(works) == 2 and works[0].spent <= covering.WORK_CAP << 16
+    assert spent_within_one_unit_past_the_cap()
+    # a cap of one unit (64 entries) refuses Selfridge's 84 steps in the walk
     monkeypatch.setattr(covering, "WORK_CAP", 1)
     with pytest.raises(CapacityError, match="work units"):
         verify_sierpinski(78557, sd.SELFRIDGE_PRIMES)
-    assert walked == []
+    assert spent_within_one_unit_past_the_cap()
+
+
+def test_period_check_takes_a_small_order_whose_p_minus_1_does_not_factor():
+    # ord(2) mod 2^521 - 1 is 521, but p - 1 resists factor(); k exceeds it
+    # and is 78557 modulo each of Selfridge's primes, which cover alone
+    m521 = 2 ** 521 - 1
+    k = 78557 + 2 * math.prod(sd.SELFRIDGE_PRIMES) * 2 ** 521
+    res = verify_sierpinski(k, sd.SELFRIDGE_PRIMES + [m521])
+    assert res.ok and res.period == 18756 == math.lcm(36, 521)
 
 
 def test_period_beyond_a_whole_period_scan():
@@ -570,11 +585,11 @@ def literal_scan(classes, count):
     return next((n for n in range(count) if all(n % o != a for a, o in classes)), None)
 
 
-def reference_period_check(base, cases, orders=None, scan=literal_scan):
-    """_period_check as it stood before the shared walk: each (case, prime)
-    steps a from 0 until coeff * base^a ≡ target (mod p), and each case's
-    whole period is scanned, member by member by default.  orders is
-    ignored; every order is computed afresh."""
+def reference_period_check(base, cases, scan=literal_scan):
+    """_period_check as it stood before the shared walk: each order comes
+    from multiplicative_order, each (case, prime) steps a from 0 until
+    coeff * base^a ≡ target (mod p), and each case's whole period is
+    scanned, member by member by default."""
     orders = {p: multiplicative_order(base, p)
               for p in sorted(set().union(*(primes for *_, primes in cases)))}
     cert, periods = [], []
@@ -696,17 +711,18 @@ def test_mid_size_periods_match_a_whole_period_scan(monkeypatch):
     assert got == [check(k, primes) for check, k, primes in calls]
 
 
-def test_brier_computes_each_order_once(monkeypatch):
-    seen = []
-    real = progression.multiplicative_order
+def test_period_checks_of_published_constants_never_factor(monkeypatch):
+    # each order comes from the walk, and these periods need no tree split
+    def refuse(*args):
+        pytest.fail(f"a period check factored or took an order: {args}")
 
-    def spy(g, p):
-        seen.append(p)
-        return real(g, p)
-
-    monkeypatch.setattr(progression, "multiplicative_order", spy)
+    for module in (modarith, covering, progression):
+        monkeypatch.setattr(module, "factor", refuse)
+    monkeypatch.setattr(modarith, "multiplicative_order", refuse)
+    assert verify_sierpinski(sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES).ok
     assert verify_brier(sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES).ok
-    assert sorted(seen) == sorted(set(sd.CLAVIER_S_PRIMES) | set(sd.CLAVIER_R_PRIMES))
+    assert verify_brier(sd.BRIER_K, sd.BRIER_S_PRIMES, sd.BRIER_R_PRIMES).ok
+    assert verify_digit_robust(sd.TOY3_K, sd.TOY3_PRIMES, base=3).ok
 
 
 @pytest.mark.parametrize("k, extra_s, extra_r, message", [
@@ -716,7 +732,7 @@ def test_brier_computes_each_order_once(monkeypatch):
     (78557, [9], [], "9 is not prime"),
     (78557, [], [9], "9 is not prime"),
     # with faults on both sides the Sierpinski side is validated first,
-    # its 2 before its composites, as before orders were shared
+    # its 2 before its composites
     (78557, [15], [9], "15 is not prime"),
     (78557, [9], [2], "9 is not prime"),
     (78557, [2], [9], "2 cannot divide k*2^n ± 1; use odd primes"),
