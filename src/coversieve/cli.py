@@ -15,14 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import dataset
-from .covering import (
-    CoveringSystem,
-    ResidueClass,
-    auto_w,
-    lcm_of_moduli,
-    verify_naive,
-    verify_partitioned,
-)
+from .covering import auto_w, lcm_of_moduli, verify_naive, verify_partitioned
 from .cyclotomic import cyclotomic_coeffs, cyclotomic_value, load_exclusions, primes_of_order
 from .modarith import IncompatibleCongruencesError, factor, multiplicative_order
 from .progression import (
@@ -39,28 +32,26 @@ from .progression import (
 )
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
+_BUILDERS = {"sierpinski": build_sierpinski, "riesel": build_riesel}
 
 
 def _emit(pairs: list[tuple[str, object]], fmt: str):
-    # every line is formatted before any is written, so a value that cannot
-    # be printed fails the command without partial output
+    # a value past Python's int-to-str digit limit, such as the lcm of a
+    # large covering, is printed as a note naming its key in place of its line
     sep = "=" if fmt == "kv" else ": "
-    sys.stdout.write("".join(f"{k}{sep}{v}\n" for k, v in pairs))
-
-
-def _parse_target(spec: str) -> ResidueClass:
-    a, _, b = spec.partition(":")
-    return ResidueClass(int(a), int(b))
+    lines = []
+    for k, v in pairs:
+        try:
+            lines.append(f"{k}{sep}{v}\n")
+        except ValueError:
+            lines.append(f"note{sep}{k} too large to print\n")
+    sys.stdout.write("".join(lines))
 
 
 def cmd_verify(args) -> int:
     if args.w is not None and args.method == "naive":
-        print("error: --w needs --method partitioned or both", file=sys.stderr)
-        return USAGE
-    loaded = dataset.load_covering(args.file)
-    system = loaded.system
-    if args.target:
-        system = CoveringSystem(system.classes, _parse_target(args.target))
+        raise ValueError("--w needs --method partitioned or both")
+    system = dataset.load_covering(args.file).system
     w = "auto" if args.w in (None, "auto") else int(args.w)
     pairs = [
         ("file", args.file),
@@ -94,21 +85,16 @@ def cmd_order(args) -> int:
 
 def cmd_cyclo(args) -> int:
     if args.factor and args.eval is None:
-        print("error: --factor needs --eval", file=sys.stderr)
-        return USAGE
+        raise ValueError("--factor needs --eval")
     if args.exclude is not None and not (args.factor and args.eval in (2, 10)):
-        print("error: --exclude needs --factor at --eval 2 or 10", file=sys.stderr)
-        return USAGE
+        raise ValueError("--exclude needs --factor at --eval 2 or 10")
     pairs = [("b", args.b)]
     if args.eval is None:
         pairs.append(("degree", cyclotomic_coeffs(args.b).degree))
         _emit(pairs, args.format)
         return PASS
     value = cyclotomic_value(args.b, args.eval)
-    try:
-        pairs.append(("value", str(value)))
-    except ValueError:  # above Python's int-to-str digit limit
-        pairs.append(("note", "value too large to print"))
+    pairs.append(("value", value))
     if args.factor:
         if args.eval in (2, 10):
             exclude = frozenset() if args.exclude is None else load_exclusions(args.exclude)
@@ -118,6 +104,8 @@ def cmd_cyclo(args) -> int:
             if not ops.complete:
                 pairs.append(("unfactored", ops.unfactored_cofactor))
         else:
+            if value < 2:
+                raise ValueError(f"--factor needs a value of at least 2, got {value}")
             f = factor(value)
             pairs.append(
                 ("factors", "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors))
@@ -129,16 +117,13 @@ def cmd_cyclo(args) -> int:
 
 def cmd_check(args) -> int:
     if args.base is not None and args.kind != "digit":
-        print("error: --base needs --kind digit", file=sys.stderr)
-        return USAGE
+        raise ValueError("--base needs --kind digit")
     if args.primes_riesel is not None and args.kind not in ("brier", "base2"):
-        print("error: --primes-riesel needs --kind brier or base2", file=sys.stderr)
-        return USAGE
-    primes = dataset.load_primes_file(args.primes) if args.primes else []
+        raise ValueError("--primes-riesel needs --kind brier or base2")
+    primes = dataset.load_primes_file(args.primes)
     if args.kind in ("brier", "base2"):
-        if not args.primes_riesel:
-            print("error: --primes-riesel required for this kind", file=sys.stderr)
-            return USAGE
+        if args.primes_riesel is None:
+            raise ValueError("--primes-riesel required for this kind")
         primes_r = dataset.load_primes_file(args.primes_riesel)
     if args.kind == "sierpinski":
         res = verify_sierpinski(args.k, primes)
@@ -182,8 +167,7 @@ def _load_assignments(path) -> list[PrimeAssignment]:
 
 def cmd_build(args) -> int:
     assignments = _load_assignments(args.assignments)
-    builder = build_sierpinski if args.kind == "sierpinski" else build_riesel
-    prog = builder(assignments, require_covering=not args.diagnostic)
+    prog = _BUILDERS[args.kind](assignments, require_covering=not args.diagnostic)
     pairs = [("kind", prog.kind), ("A", prog.A), ("B", prog.B)]
     if prog.A % 10 == 0:
         pairs.append(("B.mod10", prog.B % 10))
@@ -195,11 +179,9 @@ def cmd_combine(args) -> int:
     parts = []
     for spec in args.part:
         kind, _, path = spec.partition(":")
-        if kind not in ("sierpinski", "riesel") or not path:
-            print(f"error: --part must be kind:file, got {spec!r}", file=sys.stderr)
-            return USAGE
-        builder = build_sierpinski if kind == "sierpinski" else build_riesel
-        parts.append(builder(_load_assignments(path), require_covering=not args.diagnostic))
+        if kind not in _BUILDERS or not path:
+            raise ValueError(f"--part must be kind:file, got {spec!r}")
+        parts.append(_BUILDERS[kind](_load_assignments(path), require_covering=not args.diagnostic))
     try:
         prog = combine_brier(parts)
     except IncompatibleCongruencesError as exc:
@@ -237,16 +219,11 @@ def cmd_dataset(args) -> int:
         data = replace(data, cov_ries=dataset.load_covering(args.riesel))
     ok = True
     pairs = []
-    audit = dataset.consistency_audit(data)
-    pairs.append(("audit.ok", int(audit.ok)))
-    for i, v in enumerate(audit.violations):
-        pairs.append((f"audit.violation.{i}", v))
-    ok &= audit.ok
-    t1 = dataset.verify_table1(data)
-    pairs.append(("table1.ok", int(t1.ok)))
-    for i, v in enumerate(t1.violations):
-        pairs.append((f"table1.violation.{i}", v))
-    ok &= t1.ok
+    for name, report in (("audit", dataset.consistency_audit(data)),
+                         ("table1", dataset.verify_table1(data))):
+        pairs.append((f"{name}.ok", int(report.ok)))
+        pairs += [(f"{name}.violation.{i}", v) for i, v in enumerate(report.violations)]
+        ok &= report.ok
     for name, cov in (("sierpinski", data.cov_sier), ("riesel", data.cov_ries)):
         verdict = verify_partitioned(cov.system)
         pairs.append((f"{name}.classes", len(cov.system.classes)))
@@ -269,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a covering file")
     p.add_argument("file")
-    p.add_argument("--target", help="restrict to target a:b")
     p.add_argument("--method", choices=("naive", "partitioned", "both"), default="partitioned")
     p.add_argument("--w", help="slice width: auto (the default) or an integer")
     _add_common(p)

@@ -185,7 +185,8 @@ def verify_naive(system: CoveringSystem) -> Verdict:
     ell = math.lcm(*{b for _, b in classes})
     if ell > NAIVE_CAP:
         raise CapacityError(
-            f"lcm of moduli is {ell} > cap {NAIVE_CAP}; use verify_partitioned"
+            f"lcm of moduli has {ell.bit_length()} bits, above cap {NAIVE_CAP}; "
+            "use verify_partitioned"
         )
     gap = _first_uncovered(classes, _prefix(ell)) if ell > _TILE else None
     if gap is None:

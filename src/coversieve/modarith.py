@@ -381,8 +381,6 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
     cofactor = 1
     while pending:
         m = pending.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -4,17 +4,20 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversieve import cli, covering, progression
+from coversieve import cli, covering, dataset, progression
 from coversieve.cli import main
 from coversieve.covering import Verdict
+from coversieve.cyclotomic import primes_of_order
 from coversieve.dataset import export_data_files
 from coversieve.modarith import Budget, factor
 
 import sieve_data as sd
+from test_cyclotomic import STARVED, STARVED_432_COFACTOR
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,12 @@ def test_verify_target_flag(capsys, datadir):
         capsys, "verify", datadir / "table1.cov", "--method", "both", "--format", "kv"
     )
     assert code == 0 and kv(out)["covered"] == "1"
+    # the target comes from the file's header alone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(datadir / "table1.cov"), "--target", "2:8"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --target 2:8" in err
 
 
 def test_order_command(capsys):
@@ -168,6 +177,17 @@ def test_cyclo_command(capsys):
     assert kv(out)["value"] == "5"
     code, out = run(capsys, "cyclo", "--b", 48, "--eval", 2, "--factor", "--format", "kv")
     assert kv(out)["primes"] == "97*673"
+    assert run(capsys, "cyclo", "--b", 12, "--format", "kv") == (0, "b=12\ndegree=4\n")
+
+
+def test_cyclo_prints_what_it_leaves_unfactored(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "primes_of_order",
+                        lambda b, base, exclude: primes_of_order(b, base, STARVED, exclude))
+    code, out = run(capsys, "cyclo", "--b", 432, "--eval", 2, "--factor", "--format", "kv")
+    assert code == 0
+    d = kv(out)
+    assert d["primes"] == "" and d["complete"] == "0"
+    assert d["unfactored"] == str(STARVED_432_COFACTOR)
 
 
 def test_cyclo_exclude_needs_factor_at_2_or_10(capsys, tmp_path):
@@ -267,6 +287,17 @@ def test_check_refuses_a_flag_its_kind_ignores(capsys, tmp_path):
     ten = run(capsys, "check", "--kind", "digit", "--k", 78557, "--primes", g, "--base", 10,
               "--format", "kv")
     assert default == ten and default[1].startswith("kind=digit\n")
+
+
+def test_check_reads_an_empty_primes_path_as_a_file(capsys, tmp_path):
+    f = tmp_path / "selfridge.txt"
+    f.write_text("".join(f"{p}\n" for p in sd.SELFRIDGE_PRIMES))
+    for flags in (["--kind", "sierpinski", "--primes", ""],
+                  ["--kind", "brier", "--primes", str(f), "--primes-riesel", ""]):
+        code = main(["check", "--k", "78557", *flags])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, flags
 
 
 # check's --base: small, or up to 10^18, mostly past the 2(base-1) cases
@@ -557,6 +588,33 @@ def test_outputs_beyond_the_int_to_str_digit_limit(capsys):
     assert out == "b=18018\nnote=value too large to print\n"
 
 
+def test_an_lcm_beyond_the_int_to_str_digit_limit_is_a_note(capsys, tmp_path):
+    # 0 (mod p) for each of the 1335 primes p < 11000: the lcm has 4724 digits
+    primes = [p for p in range(2, 11000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    f = tmp_path / "primes.cov"
+    f.write_text("".join(f"0 {p}\n" for p in primes))
+    code, out = run(capsys, "verify", f, "--format", "kv")
+    assert code == 1
+    assert out.splitlines()[1:3] == ["classes=1335", "note=lcm too large to print"]
+    assert kv(out)["covered"] == "0" and kv(out)["witness"] == "1"
+    assert main(["verify", str(f), "--method", "naive"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: lcm of moduli has 15693 bits, above cap 100000000;" \
+        " use verify_partitioned\n"
+    code, out = run(capsys, "dataset", "verify-appendix", "--sierpinski", f, "--format", "kv")
+    assert code == 1
+    assert "note=sierpinski.lcm too large to print\nsierpinski.covered=0\n" in out
+    assert kv(out)["sierpinski.witness"] == "1"
+
+
+def test_cyclo_factor_refuses_a_value_below_2(capsys):
+    for b, x, value in ((12, 1, 1), (1, -3, -4)):
+        code = main(["cyclo", "--b", str(b), "--eval", str(x), "--factor"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --factor needs a value of at least 2, got {value}\n"
+
+
 def test_cyclo_refuses_a_point_beyond_eval_bits(capsys):
     code, out = run(capsys, "cyclo", "--b", 19998, "--eval", 10**10 + 19, "--format", "kv")
     assert code == 0 and out == "b=19998\nnote=value too large to print\n"
@@ -590,6 +648,48 @@ def test_dataset_verify_appendix_with_deleted_class(capsys, tmp_path, datadir):
     )
     assert code == 1
     assert "sierpinski.witness" in kv(out)
+
+
+def test_dataset_verify_appendix_with_a_riesel_file(capsys, tmp_path, datadir):
+    # the exported file reads back as the embedded covering
+    embedded = run(capsys, "dataset", "verify-appendix", "--format", "kv")
+    assert run(capsys, "dataset", "verify-appendix", "--riesel", datadir / "riesel.cov",
+               "--format", "kv") == embedded
+    with open(datadir / "riesel.cov") as fh:
+        lines = fh.read().splitlines()
+    broken = tmp_path / "broken.cov"
+    broken.write_text("\n".join(lines[:100] + lines[101:]) + "\n")
+    code, out = run(capsys, "dataset", "verify-appendix", "--riesel", broken, "--format", "kv")
+    assert code == 1
+    d = kv(out)
+    assert d["riesel.covered"] == "0" and "riesel.witness" in d
+    assert d["sierpinski.covered"] == "1"
+
+
+def test_dataset_verify_appendix_prints_audit_violations(capsys, tmp_path, datadir):
+    with open(datadir / "sierpinski.cov") as fh:
+        lines = fh.read().splitlines()
+    repeated = tmp_path / "repeated.cov"
+    repeated.write_text("\n".join(lines + lines[:1]) + "\n")
+    code, out = run(capsys, "dataset", "verify-appendix", "--sierpinski", repeated,
+                    "--format", "kv")
+    assert code == 1
+    d = kv(out)
+    assert d["audit.ok"] == "0" and d["table1.ok"] == "1"
+    assert d["audit.violation.0"] == "sierpinski: duplicate class 0 (mod 4)"
+    assert d["sierpinski.covered"] == "1"
+
+
+def test_dataset_verify_appendix_prints_table1_violations(capsys, monkeypatch):
+    data = dataset.appendix_data()
+    (row, _), *rest = data.table1
+    monkeypatch.setattr(dataset, "appendix_data", lambda: replace(data, table1=((row, 15), *rest)))
+    code, out = run(capsys, "dataset", "verify-appendix", "--format", "kv")
+    assert code == 1
+    d = kv(out)
+    assert d["audit.ok"] == "1" and d["table1.ok"] == "0"
+    assert d["table1.violation.0"] == "15 fails the primality test"
+    assert "table1.violation.1" not in d
 
 
 def test_dataset_export(capsys, tmp_path):

@@ -63,6 +63,10 @@ def test_partitioned_examples():
     assert verify_partitioned(c0_system(), w=3).covered
     v = verify_partitioned(system([(0, 3), (1, 3), (2, 9), (5, 9)]), w=3)
     assert not v.covered and v.witness == 8
+    with pytest.raises(ValueError, match="w must be an integer or 'auto', got 'x'"):
+        verify_partitioned(c0_system(), w="x")
+    with pytest.raises(ValueError, match="w must be >= 1, got 0"):
+        verify_partitioned(c0_system(), w=0)
 
 
 def test_partitioned_huge_w_is_reduced_to_the_lcm(monkeypatch):
@@ -171,6 +175,8 @@ def test_verify_partitioned_all_integers_target_equals_plain_verify():
 def test_target_incompatible_class_rejected():
     with pytest.raises(ValueError):
         system([(1, 16)], target=ResidueClass(2, 8))
+    with pytest.raises(ValueError, match="at least one class"):
+        CoveringSystem(())
 
 
 def test_verdict_invariant_on_uncovered():

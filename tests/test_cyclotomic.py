@@ -175,6 +175,10 @@ def test_primes_of_order_examples():
     assert s.primes == (257,) and s.complete
     s = primes_of_order(64, 2)
     assert s.primes == (641, 6700417) and s.complete
+    with pytest.raises(ValueError, match="base must be 2 or 10, got 3"):
+        primes_of_order(12, 3)
+    with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+        primes_of_order(1)
 
 
 def test_primes_of_order_properties():

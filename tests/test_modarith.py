@@ -243,6 +243,7 @@ def test_multiplicative_order_examples():
     assert multiplicative_order(2, 5) == 4
     assert multiplicative_order(2, 3) == 2
     assert multiplicative_order(2, 257) == 16
+    assert multiplicative_order(3, 2) == 1
     with pytest.raises(ValueError):
         multiplicative_order(2, 9)  # not prime
     with pytest.raises(ValueError):

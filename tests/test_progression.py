@@ -89,6 +89,8 @@ def test_build_rejects_duplicates_and_bad_orders():
     with pytest.raises(ValueError, match="no prime"):
         build_sierpinski([PrimeAssignment(ResidueClass(0, 4), None)],
                          require_covering=False)
+    with pytest.raises(ValueError, match="no assignments given"):
+        build_sierpinski([])
 
 
 def test_combine_brier_shared_subset():
@@ -108,6 +110,8 @@ def test_combine_brier_conflict_names_prime():
     with pytest.raises(IncompatibleCongruencesError) as exc:
         combine_brier([ps, pr])
     assert exc.value.prime == 5
+    with pytest.raises(ValueError, match="no parts to combine"):
+        combine_brier([])
 
 
 def test_combine_brier_conflict_factors_only_the_gcd_once(monkeypatch):
@@ -319,6 +323,8 @@ def test_verify_digit_robust_negative_cases():
         verify_digit_robust(101, [5], base=10)
     with pytest.raises(ValueError, match="0 is not prime"):
         verify_digit_robust(101, [0], base=10)
+    with pytest.raises(ValueError, match="k must be positive, got 0"):
+        verify_digit_robust(0, [7])
 
 
 def test_digit_cases_are_charged_before_any_is_built(monkeypatch):
@@ -823,6 +829,8 @@ def test_shift_preconditions():
         subprogression_shift(7 * 1000003, 1, 1000003)
     with pytest.raises(ValueError, match="gcd"):
         subprogression_shift(130, 13, 10)
+    with pytest.raises(ValueError, match="base must be >= 2, got 1"):
+        subprogression_shift(130, 1, 1)
 
 
 def test_shift_refuses_an_a_prime_it_cannot_factor(monkeypatch):
