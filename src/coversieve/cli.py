@@ -37,12 +37,13 @@ _BUILDERS = {"sierpinski": build_sierpinski, "riesel": build_riesel}
 
 def _emit(pairs: list[tuple[str, object]], fmt: str):
     # a value past Python's int-to-str digit limit, such as the lcm of a
-    # large covering, is printed as a note naming its key in place of its line
+    # large covering, is printed as a note naming its key in place of its
+    # line; a callable value is formatted here, so it falls under that rule
     sep = "=" if fmt == "kv" else ": "
     lines = []
     for k, v in pairs:
         try:
-            lines.append(f"{k}{sep}{v}\n")
+            lines.append(f"{k}{sep}{v() if callable(v) else v}\n")
         except ValueError:
             lines.append(f"note{sep}{k} too large to print\n")
     sys.stdout.write("".join(lines))
@@ -99,7 +100,7 @@ def cmd_cyclo(args) -> int:
         if args.eval in (2, 10):
             exclude = frozenset() if args.exclude is None else load_exclusions(args.exclude)
             ops = primes_of_order(args.b, args.eval, exclude=exclude)
-            pairs.append(("primes", "*".join(str(p) for p in ops.primes)))
+            pairs.append(("primes", lambda: "*".join(str(p) for p in ops.primes)))
             pairs.append(("complete", int(ops.complete)))
             if not ops.complete:
                 pairs.append(("unfactored", ops.unfactored_cofactor))
@@ -107,9 +108,8 @@ def cmd_cyclo(args) -> int:
             if value < 2:
                 raise ValueError(f"--factor needs a value of at least 2, got {value}")
             f = factor(value)
-            pairs.append(
-                ("factors", "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors))
-            )
+            pairs.append(("factors", lambda: "*".join(
+                f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors)))
             pairs.append(("complete", int(f.complete)))
     _emit(pairs, args.format)
     return PASS

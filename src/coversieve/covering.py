@@ -44,7 +44,7 @@ CapacityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .modarith import CapacityError, ResidueClass, factor
@@ -59,38 +59,34 @@ _SLICES = 1 << 12  # children whose classes are collected at a time
 ALL_INTEGERS = ResidueClass(0, 1)
 
 
-@dataclass(frozen=True)
-class CoveringSystem:
+class CoveringSystem(namedtuple("CoveringSystem", "classes target")):
     """An ordered list of residue classes, optionally restricted to a target
     class (default: all integers).  Classes incompatible with the target are
     rejected on construction."""
 
-    classes: tuple[ResidueClass, ...]
-    target: ResidueClass = ALL_INTEGERS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.classes:
+    def __new__(cls, classes, target: ResidueClass = ALL_INTEGERS):
+        if not classes:
             raise ValueError("a covering system needs at least one class")
-        object.__setattr__(self, "classes", tuple(self.classes))
-        t = self.target
-        if t != ALL_INTEGERS:
-            for cls in self.classes:
-                g = math.gcd(cls.b, t.b)
-                if cls.a % g != t.a % g:
+        classes = tuple(classes)
+        if target != ALL_INTEGERS:
+            for c in classes:
+                g = math.gcd(c.b, target.b)
+                if c.a % g != target.a % g:
                     raise ValueError(
-                        f"class {cls} cannot intersect target {t}"
+                        f"class {c} cannot intersect target {target}"
                     )
+        return tuple.__new__(cls, (classes, target))
 
     def moduli(self) -> list[int]:
         return [c.b for c in self.classes]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "covered witness", defaults=(None,))):
     """covered, plus the smallest uncovered member of the target found."""
 
-    covered: bool
-    witness: int | None = None
+    __slots__ = ()
 
 
 def lcm_of_moduli(system: CoveringSystem) -> int:

@@ -11,7 +11,7 @@ refused with CapacityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
 
@@ -22,12 +22,10 @@ INDEX_CAP = 20000  # largest index b whose Φ_b is built or evaluated
 EVAL_BITS = 10**6
 
 
-@dataclass(frozen=True)
-class CyclotomicPoly:
+class CyclotomicPoly(namedtuple("CyclotomicPoly", "index coefficients")):
     """Exact integer coefficients of Φ_b, ascending degree; degree = φ(b)."""
 
-    index: int
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -40,19 +38,15 @@ class CyclotomicPoly:
         return out
 
 
-@dataclass(frozen=True)
-class OrderPrimeSet:
+class OrderPrimeSet(namedtuple("OrderPrimeSet", "order base primes complete unfactored_cofactor",
+                               defaults=(1,))):
     """Primes p with ord_p(base) = order, found by factoring Φ_order(base).
 
     complete mirrors the factorization: when False, more primes of this
     order may exist beyond the ones listed.
     """
 
-    order: int
-    base: int
-    primes: tuple[int, ...]
-    complete: bool
-    unfactored_cofactor: int = 1
+    __slots__ = ()
 
 
 def _squarefree_divisors_mu(b: int) -> list[tuple[int, int]]:

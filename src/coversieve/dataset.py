@@ -14,7 +14,8 @@ normalized canonical form, so parse/serialize round-trips are bit-exact.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 from . import _tables
 from .covering import (
@@ -30,10 +31,8 @@ from .modarith import is_probable_prime, verify_order
 Tag = tuple[str, int] | None
 
 
-@dataclass(frozen=True)
-class LoadedCovering:
-    system: CoveringSystem
-    tags: tuple[Tag, ...]
+class LoadedCovering(namedtuple("LoadedCovering", "system tags")):
+    __slots__ = ()
 
 
 def parse_covering(text: str, source: str = "<string>") -> LoadedCovering:
@@ -162,11 +161,19 @@ def table2_rows() -> tuple[tuple[int, ResidueClass], ...]:
 # audits
 
 
-@dataclass
 class Report:
-    name: str
-    violations: list[str] = field(default_factory=list)
-    facts: dict[str, object] = field(default_factory=dict)
+    """An audit's violations and facts; reports compare by value."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.violations: list[str] = []
+        self.facts: dict[str, object] = {}
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Report else NotImplemented
+
+    def __repr__(self):
+        return f"Report(name={self.name!r}, violations={self.violations!r}, facts={self.facts!r})"
 
     @property
     def ok(self) -> bool:
@@ -208,9 +215,9 @@ def consistency_audit(data: AppendixData) -> Report:
         seen = set()
         for cls in cov.system.classes:
             counts.setdefault(cls.b, [0, 0])[0 if which == "sierpinski" else 1] += 1
-            if (cls.a, cls.b) in seen:
+            if cls in seen:
                 rep.violations.append(f"{which}: duplicate class {cls}")
-            seen.add((cls.a, cls.b))
+            seen.add(cls)
         for b, blkno, rows in _blocks(cov):
             idxs = [i for _, i in rows if i is not None]
             if idxs and max(idxs) > data.L.get(b, (0, False))[0]:

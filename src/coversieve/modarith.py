@@ -9,7 +9,7 @@ included, so results are reproducible and safe to call from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 
@@ -33,17 +33,15 @@ class CapacityError(ValueError):
     """Requested computation exceeds a size cap or the factoring budget."""
 
 
-@dataclass(frozen=True, order=True)
-class ResidueClass:
+class ResidueClass(namedtuple("ResidueClass", "a b")):
     """The congruence class a (mod b); a is normalized into [0, b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.b}")
-        object.__setattr__(self, "a", self.a % self.b)
+    def __new__(cls, a: int, b: int):
+        if b < 1:
+            raise ValueError(f"modulus must be >= 1, got {b}")
+        return tuple.__new__(cls, (a % b, b))
 
     def contains(self, n: int) -> bool:
         return n % self.b == self.a
@@ -52,8 +50,8 @@ class ResidueClass:
         return f"{self.a} (mod {self.b})"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "trial_limit rho_rounds rho_restarts",
+                        defaults=(1_000_000, 500_000, 8))):
     """Effort bounds for factorization: trial-division limit and rho caps.
 
     rho_rounds is the reach of one rho restart, in rounds of x^2 + c; a
@@ -65,16 +63,13 @@ class Budget:
     deterministic.
     """
 
-    trial_limit: int = 1_000_000
-    rho_rounds: int = 500_000
-    rho_restarts: int = 8
+    __slots__ = ()
 
 
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(namedtuple("FactorizationResult", "factors cofactor", defaults=(1,))):
     """Prime multiset, leftover cofactor, and a completeness flag.
 
     Invariant: prod(p**e) * cofactor == n for the input n.  Every listed
@@ -83,8 +78,7 @@ class FactorizationResult:
     failed is_probable_prime.
     """
 
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int = 1
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .covering import CoveringSystem, _least_gap, _Work, verify_partitioned
 from .modarith import (
@@ -31,16 +31,13 @@ from .modarith import (
 MATERIALIZE_BITS = 5_000_000
 
 
-@dataclass(frozen=True)
-class PrimeAssignment:
-    """One covering class bound to a prime of matching order base 2."""
+class PrimeAssignment(namedtuple("PrimeAssignment", "cls prime")):
+    """One covering class bound to a prime of matching order base 2, or None."""
 
-    cls: ResidueClass
-    prime: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SievedProgression:
+class SievedProgression(namedtuple("SievedProgression", "A B kind primes certificate")):
     """Am + B with a divisibility certificate.
 
     certificate entries are (kind, a, b, p): for kind 'sierpinski',
@@ -48,32 +45,21 @@ class SievedProgression:
     corresponding k*2^n ∓/± 1 is divisible by p whenever n ≡ a (mod b).
     """
 
-    A: int
-    B: int
-    kind: str
-    primes: frozenset[int]
-    certificate: tuple[tuple[str, int, int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "ok witness period certificate reason",
+                             defaults=(None, 0, (), ""))):
     """Outcome of a period check."""
 
-    ok: bool
-    witness: object = None
-    period: int = 0
-    certificate: tuple = ()
-    reason: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class BrierCheck:
-    ok: bool
-    sierpinski: CheckResult
-    riesel: CheckResult
+class BrierCheck(namedtuple("BrierCheck", "ok sierpinski riesel")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -348,8 +334,7 @@ def verify_base2_delicate(k: int, primes_s, primes_r) -> CheckResult:
 # the subprogression shift
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(namedtuple("ShiftResult", "A B base ell v a_primes")):
     """Outputs of the subprogression shift.
 
     A0 = base**(ell*(v+2)) * A and B0 = base**(ell*(v+1)) - base**ell + B
@@ -358,12 +343,7 @@ class ShiftResult:
     without ever forming the integers.
     """
 
-    A: int
-    B: int
-    base: int
-    ell: int
-    v: int
-    a_primes: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def exp_a0(self) -> int:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -586,6 +587,25 @@ def test_outputs_beyond_the_int_to_str_digit_limit(capsys):
     code, out = run(capsys, "cyclo", "--b", 18018, "--eval", 10, "--format", "kv")
     assert code == 0
     assert out == "b=18018\nnote=value too large to print\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_primes_and_factors_beyond_the_int_to_str_digit_limit_are_notes(capsys):
+    # 2^2203 - 1 and (3^1367 - 1)/2 are primes of 664 and 653 digits; the
+    # limit is the interpreter's, so it is restored by hand
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(capsys, "cyclo", "--b", 2203, "--eval", 2, "--factor", "--format", "kv")
+        assert code == 0
+        assert out == "b=2203\nnote=value too large to print\nnote=primes too large to print\n" \
+            "complete=1\n"
+        code, out = run(capsys, "cyclo", "--b", 1367, "--eval", 3, "--factor", "--format", "kv")
+        assert code == 0
+        assert out == "b=1367\nnote=value too large to print\nnote=factors too large to print\n" \
+            "complete=1\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_an_lcm_beyond_the_int_to_str_digit_limit_is_a_note(capsys, tmp_path):
