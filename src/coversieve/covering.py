@@ -47,7 +47,7 @@ import math
 from collections import namedtuple
 from functools import cache
 
-from .modarith import CapacityError, ResidueClass, factor
+from .modarith import CapacityError, ResidueClass, factor_whole
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
@@ -202,25 +202,20 @@ def auto_w(system: CoveringSystem) -> int:
 
 def _primes(classes: list[tuple[int, int]]) -> list[int]:
     """The primes dividing some modulus of the classes, ascending; a modulus
-    that factor() leaves incomplete raises CapacityError.  The primes
+    that factor_whole() cannot factor raises CapacityError.  The primes
     already found are divided out of each modulus first, so factor() sees
     only what is left above 1."""
     primes, known = [], 1  # known: the product of primes
-    for b in {b for _, b in classes if b > 1}:
+    for b in {b for _, b in classes}:
         rest, g = b, math.gcd(b, known)
         while g > 1:
             rest //= g
             g = math.gcd(rest, g)
         if rest == 1:
             continue
-        f = factor(rest)
-        if not f.complete:
-            raise CapacityError(
-                f"cannot factor modulus {b} within the factoring budget;"
-                " the residue tree splits only by known primes"
-            )
-        primes += f.primes()
-        known *= math.prod(f.primes())
+        found = factor_whole(rest, lambda: f"modulus {b}").primes()
+        primes += found
+        known *= math.prod(found)
     return sorted(primes)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, verify_order
+from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, factor_whole, verify_order
 
 INDEX_CAP = 20000  # largest index b whose Φ_b is built or evaluated
 # largest numerator of the Möbius quotient, in bits, that cyclotomic_value
@@ -50,9 +50,14 @@ class OrderPrimeSet(namedtuple("OrderPrimeSet", "order base primes complete unfa
 
 
 def _squarefree_divisors_mu(b: int) -> list[tuple[int, int]]:
-    """(d, μ(d)) for the squarefree divisors d of b."""
+    """(d, μ(d)) for the squarefree divisors d of b; an index b below 1 or
+    above INDEX_CAP is refused before b is factored."""
+    if b < 1:
+        raise ValueError(f"index must be >= 1, got {b}")
+    if b > INDEX_CAP:
+        raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
     out = [(1, 1)]
-    for q in factor(b).primes() if b > 1 else ():
+    for q in factor_whole(b, lambda: f"cyclotomic index {b}").primes():
         out += [(d * q, -mu) for d, mu in out]
     return out
 
@@ -83,10 +88,6 @@ def _div_binomial(coeffs: list[int], d: int) -> list[int]:
 def cyclotomic_coeffs(b: int) -> CyclotomicPoly:
     """Φ_b as exact integer coefficients, via the Möbius product
     Φ_b(x) = prod (x**(b/d) - 1)**μ(d) over squarefree d | b."""
-    if b < 1:
-        raise ValueError(f"index must be >= 1, got {b}")
-    if b > INDEX_CAP:
-        raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
     coeffs = [1]
     divs = _squarefree_divisors_mu(b)
     for d, mu in divs:
@@ -103,10 +104,6 @@ def cyclotomic_value(b: int, x0: int) -> int:
     Möbius product is taken as a quotient of big integers).  A numerator
     of more than EVAL_BITS bits, prod x0**(b/d) - 1 over μ(d) = 1, is
     refused before any power is taken."""
-    if b < 1:
-        raise ValueError(f"index must be >= 1, got {b}")
-    if b > INDEX_CAP:
-        raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
     if abs(x0) <= 1:
         return cyclotomic_coeffs(b)(x0)
     divisors = _squarefree_divisors_mu(b)
@@ -168,7 +165,7 @@ def primes_of_order(
     if b < 2:
         raise ValueError(f"order must be >= 2, got {b}")
     value = cyclotomic_value(b, base)
-    q = factor(b).primes()[-1]
+    q = factor_whole(b, lambda: f"cyclotomic index {b}").primes()[-1]
     while value % q == 0:
         value //= q
     parts = _aurifeuillian_parts(b, base, value)

@@ -180,50 +180,28 @@ class Report:
         return not self.violations
 
 
-def _blocks(loaded: LoadedCovering):
-    """Contiguous same-modulus runs where the i= index climbs from 1."""
-    blocks = []
-    prev_b = prev_i = None
-    for cls, tag in zip(loaded.system.classes, loaded.tags):
-        idx = tag[1] if tag and tag[0] == "i" else None
-        if (
-            blocks
-            and cls.b == prev_b
-            and idx is not None
-            and prev_i is not None
-            and idx == prev_i + 1
-        ):
-            blocks[-1][2].append((cls, idx))
-        else:
-            blocks.append((cls.b, len(blocks), [(cls, idx)]))
-        prev_b, prev_i = cls.b, idx
-    return blocks
-
-
 def consistency_audit(data: AppendixData) -> Report:
     """Cross-check the coverings against the per-modulus prime budgets L(b).
 
     The prime supply of order b must pay for every class of modulus b used
     across both coverings, except that the starred b = 4 row's single prime
     (5) is spent once in each covering.  Residues are also required to be
-    pairwise distinct per (covering, modulus), and no index block may claim
-    more primes than L(b) provides.
+    pairwise distinct per (covering, modulus), and no i= index may pass
+    the L(b) primes of its modulus.
     """
     rep = Report("consistency-audit")
     counts: dict[int, list[int]] = {}
     for which, cov in (("sierpinski", data.cov_sier), ("riesel", data.cov_ries)):
         seen = set()
-        for cls in cov.system.classes:
+        for cls, tag in zip(cov.system.classes, cov.tags):
             counts.setdefault(cls.b, [0, 0])[0 if which == "sierpinski" else 1] += 1
             if cls in seen:
                 rep.violations.append(f"{which}: duplicate class {cls}")
             seen.add(cls)
-        for b, blkno, rows in _blocks(cov):
-            idxs = [i for _, i in rows if i is not None]
-            if idxs and max(idxs) > data.L.get(b, (0, False))[0]:
+            supply = data.L.get(cls.b, (0, False))[0]
+            if tag and tag[0] == "i" and tag[1] > supply:
                 rep.violations.append(
-                    f"{which}: block {blkno} of modulus {b} uses index "
-                    f"{max(idxs)} > L({b}) = {data.L.get(b)}"
+                    f"{which}: class {cls} uses index {tag[1]} > L({cls.b}) = {supply}"
                 )
     for b, (ns, nr) in sorted(counts.items()):
         if b not in data.L:

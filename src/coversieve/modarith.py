@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from functools import cache
 
 
@@ -387,47 +388,55 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
     return FactorizationResult(tuple(sorted(counts.items())), cofactor)
 
 
+def factor_whole(n: int, what: Callable[[], str]) -> FactorizationResult:
+    """factor(n) under the default budget when it leaves no cofactor, the
+    empty factorization for n = 1; otherwise CapacityError, naming n by
+    what().  Every caller that needs all the primes of n factors here.
+    what is called only to refuse, so no number is formatted (nor passes
+    the int-to-str digit limit) on the way to a factorization."""
+    if n == 1:
+        return FactorizationResult(())
+    f = factor(n)
+    if not f.complete:
+        raise CapacityError(f"cannot factor {what()} within the factoring budget")
+    return f
+
+
+def _least_exponent(g: int, p: int, n: int, what: Callable[[], str]) -> int:
+    # the least e dividing n with g**e ≡ 1 (mod p), given g**n ≡ 1 (mod p)
+    e = n
+    for q in factor_whole(n, what).primes():
+        while e % q == 0 and pow(g, e // q, p) == 1:
+            e //= q
+    return e
+
+
 def multiplicative_order(g: int, p: int) -> int:
     """Least e >= 1 with g**e ≡ 1 (mod p), for prime p.
 
-    Factors p-1 under the default budget; a partial factorization raises
+    Factors p-1 by factor_whole, so a partial factorization raises
     CapacityError rather than guess.
     """
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     if math.gcd(g, p) != 1:
         raise ValueError(f"gcd({g}, {p}) != 1; order undefined")
-    if p == 2:
-        return 1
-    f = factor(p - 1)
-    if not f.complete:
-        raise CapacityError(
-            f"factorization of {p - 1} is incomplete "
-            f"(cofactor {f.cofactor}); cannot certify an order"
-        )
-    e = p - 1
-    for q, _ in f.factors:
-        while e % q == 0 and pow(g, e // q, p) == 1:
-            e //= q
-    return e
+    return _least_exponent(g, p, p - 1, lambda: f"p - 1 = {p - 1}")
 
 
 def verify_order(g: int, p: int, order: int) -> bool:
     """True iff ord_p(g) equals order exactly.
 
     Cheaper than multiplicative_order for huge p: only `order` (not p-1)
-    needs factoring, since it suffices that g**order ≡ 1 while
-    g**(order/q) != 1 for every prime q dividing order.  order is factored
-    under the default budget, as p-1 is by multiplicative_order.
+    needs factoring, since it suffices that g**order ≡ 1 and no proper
+    divisor of order gives 1.  order is factored by factor_whole, as p-1
+    is by multiplicative_order.
     """
     if order < 1 or math.gcd(g, p) != 1:
         return False
     if pow(g, order, p) != 1:
         return False
-    f = factor(order)
-    if not f.complete:
-        raise CapacityError(f"cannot factor order {order}")
-    return all(pow(g, order // q, p) != 1 for q in f.primes())
+    return _least_exponent(g, p, order, lambda: f"order {order}") == order
 
 
 def _merge(c1: ResidueClass, c2: ResidueClass, g: int) -> ResidueClass:

@@ -20,10 +20,9 @@ from collections import namedtuple
 from .covering import CoveringSystem, _least_gap, _Work, verify_partitioned
 from .modarith import (
     CapacityError,
-    FactorizationResult,
     ResidueClass,
     crt_combine,
-    factor,
+    factor_whole,
     is_probable_prime,
     verify_order,
 )
@@ -400,9 +399,7 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
         raise ValueError(f"base must be >= 2, got {base}")
     if math.gcd(A, B) != 1:
         raise ValueError(f"gcd(A, B) = {math.gcd(A, B)} != 1")
-    fb = factor(base)
-    if not fb.complete:
-        raise CapacityError(f"cannot factor the base {base}")
+    fb = factor_whole(base, lambda: f"the base {base}")
     a_prime, u = A, 1
     for q, eb in fb.factors:
         ea = 0
@@ -412,15 +409,10 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
         if ea == 0:
             raise ValueError(f"prime {q} divides the base but not A")
         u = max(u, -(-ea // eb))
-    fa = factor(a_prime) if a_prime > 1 else FactorizationResult(())
+    fa = factor_whole(a_prime, lambda: f"the base-coprime part {a_prime} of A")
     # A must have a prime divisor exceeding the base
-    if fa.complete and max(fa.primes(), default=1) <= base:
+    if max(fa.primes(), default=1) <= base:
         raise ValueError(f"A = {A} has no prime divisor > base {base}")
-    if not fa.complete:
-        raise CapacityError(
-            f"cannot certify φ: the base-coprime part {a_prime} of A resists "
-            f"factorization under the factoring budget"
-        )
     v = 1
     for p, e in fa.factors:
         v *= (p - 1) * p ** (e - 1)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversieve import cli, covering, dataset, progression
+from coversieve import cli, covering, dataset, modarith, progression
 from coversieve.cli import main
 from coversieve.covering import Verdict
 from coversieve.cyclotomic import primes_of_order
@@ -123,7 +123,7 @@ def test_verify_refuses_work_beyond_the_bound(capsys, datadir, monkeypatch):
 def test_verify_refuses_a_modulus_it_cannot_factor(capsys, tmp_path, monkeypatch):
     n = (2**61 - 1) * (2**64 - 59)
     starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
-    monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
+    monkeypatch.setattr(modarith, "factor", lambda b: factor(b, starved))
     f = tmp_path / "semiprime.cov"
     f.write_text(f"0 {n}\n1 2\n")
     assert main(["verify", str(f)]) == 2
@@ -235,6 +235,19 @@ def test_check_command(capsys, tmp_path):
         "--primes", fs, "--primes-riesel", fr2, "--format", "kv",
     )
     assert code == 0 and kv(out)["ok"] == "1"
+    # a failing Brier side prints its witness and reason; only the first
+    # failing side, the Sierpinski side where both fail, is printed
+    fr3 = tmp_path / "three-five.txt"
+    fr3.write_text("3\n5\n")
+    for k, riesel, tail in (
+        (3, fr2, "sierpinski.ok=0\nriesel.ok=0\nwitness=0\n"
+                 "reason=n = 0: no prime in the set divides k*2^n + 1\n"),
+        (sd.CLAVIER_K, fr3, "sierpinski.ok=1\nriesel.ok=0\nwitness=1\n"
+                            "reason=n = 1: no prime in the set divides k*2^n - 1\n"),
+    ):
+        code, out = run(capsys, "check", "--kind", "brier", "--k", k,
+                        "--primes", fs, "--primes-riesel", riesel, "--format", "kv")
+        assert code == 1 and out == f"kind=brier\nk={k}\nok=0\n" + tail
 
     # failing check exits 1
     code, out = run(capsys, "check", "--kind", "sierpinski", "--k", 3, "--primes", f)
@@ -277,6 +290,8 @@ def test_check_refuses_a_flag_its_kind_ignores(capsys, tmp_path):
         ("sierpinski", ["--primes-riesel", f], riesel),
         ("riesel", ["--primes-riesel", f], riesel),
         ("digit", ["--base", "10", "--primes-riesel", f], riesel),
+        ("brier", [], "error: --primes-riesel required for this kind\n"),
+        ("base2", [], "error: --primes-riesel required for this kind\n"),
     ):
         code = main(["check", "--kind", kind, "--k", "78557", "--primes", str(f), *map(str, flags)])
         out, err = capsys.readouterr()

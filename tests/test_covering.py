@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coversieve import covering
+from coversieve import covering, modarith
 from coversieve.covering import (
     ALL_INTEGERS,
     CoveringSystem,
@@ -97,7 +97,7 @@ def test_root_within_one_chunk_is_scanned_not_split(monkeypatch):
     s = system([(0, 2**20)])
     assert verify_partitioned(s, w=2**20) == verify_naive(s) == Verdict(False, 1)
     # and w="auto" factors nothing for it
-    monkeypatch.setattr(covering, "factor", None)
+    monkeypatch.setattr(modarith, "factor", None)
     assert verify_partitioned(c0_system()) == Verdict(True)
 
 
@@ -110,12 +110,12 @@ def test_unfactorable_modulus_is_refused_by_name(monkeypatch):
     n = (2**61 - 1) * (2**64 - 59)
     def no_factor(b):
         raise AssertionError(f"factored {b}")
-    monkeypatch.setattr(covering, "factor", no_factor)
+    monkeypatch.setattr(modarith, "factor", no_factor)
     for pairs, gap in (([(0, n)], 1), ([(0, n), (1, 2)], 2)):
         for w in ("auto", 1):
             assert verify_partitioned(system(pairs), w=w) == Verdict(False, gap)
     starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
-    monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
+    monkeypatch.setattr(modarith, "factor", lambda b: factor(b, starved))
     for w in ("auto", 1):
         with pytest.raises(CapacityError, match=f"cannot factor modulus {n} "):
             verify_partitioned(system([(0, 2), (1, 2), (0, n)]), w=w)
@@ -127,16 +127,18 @@ def test_work_primes_factor_only_what_is_left(monkeypatch):
     whose rest stays unfactored is still refused by its own name."""
     classes = covering._offset_form(appendix_data().cov_ries.system)[0]
     seen = []
-    monkeypatch.setattr(covering, "factor", lambda b: seen.append(b) or factor(b))
+    monkeypatch.setattr(modarith, "factor", lambda b: seen.append(b) or factor(b))
     primes = covering._primes(classes)
     moduli = {b for _, b in classes if b > 1}
     assert primes == sorted({p for b in moduli for p in factor(b).primes()})
     assert 1 not in seen and len(seen) < len(moduli)
     for i, b in enumerate(seen):
         assert math.gcd(b, math.prod(seen[:i])) == 1
+    # a modulus past the int-to-str digit limit is formatted only to refuse it
+    assert covering._primes([(0, 3 << 15000)]) == [2, 3]
     n = (2**61 - 1) * (2**64 - 59)
     starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
-    monkeypatch.setattr(covering, "factor", lambda b: factor(b, starved))
+    monkeypatch.setattr(modarith, "factor", lambda b: factor(b, starved))
     with pytest.raises(CapacityError, match=f"cannot factor modulus {2 * n} "):
         covering._primes([(0, 2), (1, 4), (0, 2 * n)])
 
@@ -770,7 +772,7 @@ def test_mutant_gap_in_the_prefix_needs_no_factoring_and_no_split(monkeypatch, n
     assert x < covering._TILE
     def refuse(*args):
         raise AssertionError("a modulus was factored, a class grouped or a node split")
-    monkeypatch.setattr(covering, "factor", refuse)
+    monkeypatch.setattr(modarith, "factor", refuse)
     monkeypatch.setattr(covering, "_grouped", refuse)
     monkeypatch.setattr(covering, "_children", refuse)
     mutant = system(classes[:i] + classes[i + 1:])

@@ -158,6 +158,18 @@ def test_eval_bits_refuses_before_any_power():
         cyclotomic_value(2, x0 + 1)
 
 
+def test_indices_outside_the_cap_are_refused_before_b_is_factored(monkeypatch):
+    monkeypatch.setattr(modarith, "factor", lambda *args: pytest.fail(f"factored {args}"))
+    cap = cyclotomic.INDEX_CAP
+    for build in (cyclotomic_coeffs, lambda b: cyclotomic_value(b, 1),
+                  lambda b: cyclotomic_value(b, 10**6)):
+        for b in (0, -5):
+            with pytest.raises(ValueError, match=f"^index must be >= 1, got {b}$"):
+                build(b)
+        with pytest.raises(CapacityError, match=f"^cyclotomic index {cap + 1} exceeds cap {cap}$"):
+            build(cap + 1)
+
+
 def test_eval_bits_admits_every_index_at_2_and_10():
     # b = 19950 has the largest numerator of every b <= INDEX_CAP, 30,960
     # times the bits of the point

@@ -84,6 +84,16 @@ def test_audit_catches_budget_violation():
     assert any("16" in v for v in rep.violations)
 
 
+def test_audit_names_the_class_whose_index_passes_l():
+    data = appendix_data()
+    cov = data.cov_sier
+    i = cov.system.classes.index(ResidueClass(2, 16))
+    assert data.L[16] == (1, False) and cov.tags[i] == ("i", 1)
+    tags = cov.tags[:i] + (("i", 2),) + cov.tags[i + 1:]
+    rep = consistency_audit(dataclasses.replace(data, cov_sier=cov._replace(tags=tags)))
+    assert rep.violations == ["sierpinski: class 2 (mod 16) uses index 2 > L(16) = 1"]
+
+
 def test_audit_catches_duplicate_residue():
     data = appendix_data()
     fake = dataclasses.replace(

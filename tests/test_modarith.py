@@ -13,6 +13,7 @@ from coversieve.modarith import (
     ResidueClass,
     crt_combine,
     factor,
+    factor_whole,
     is_probable_prime,
     multiplicative_order,
     verify_order,
@@ -257,9 +258,9 @@ def test_multiplicative_order_refuses_partial_factorization(monkeypatch):
     starved = Budget(trial_limit=10, rho_rounds=5, rho_restarts=1)
     assert not factor(P - 1, starved).complete
     monkeypatch.setattr(modarith, "factor", lambda n: factor(n, starved))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=f"^cannot factor p - 1 = {P - 1} within the factoring budget$"):
         multiplicative_order(3, P)
-    with pytest.raises(CapacityError, match=f"cannot factor order {P - 1}$"):
+    with pytest.raises(CapacityError, match=f"^cannot factor order {P - 1} within the factoring budget$"):
         verify_order(3, P, P - 1)
 
 
@@ -282,6 +283,32 @@ def test_verify_order():
     p26 = 24929060818265360451708193
     assert verify_order(2, p26, 432)
     assert not verify_order(2, p26, 216)
+
+
+def test_factor_whole():
+    assert factor_whole(1, "one") == FactorizationResult(())
+    assert factor_whole(360, "n") == factor(360)
+    n = (2**61 - 1) * (2**64 - 59)
+    assert not factor(n, Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)).complete
+    assert factor_whole(n, "n").primes() == [2**61 - 1, 2**64 - 59]
+
+
+def test_verify_order_accepts_order_one():
+    # g ≡ 1 (mod p) has order 1; the descent from 1 factors nothing
+    assert verify_order(8, 7, 1)
+    assert verify_order(1, 7, 1)
+    assert verify_order(3, 2, 1)
+    assert not verify_order(2, 7, 1)
+
+
+def test_verify_order_agrees_with_multiplicative_order():
+    for p in (2, 3, 5, 7, 13, 257):
+        divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+        for g in range(1, 2 * p):
+            if math.gcd(g, p) != 1:
+                continue
+            e = multiplicative_order(g, p)
+            assert [d for d in divisors if verify_order(g, p, d)] == [e], (g, p)
 
 
 def test_crt_examples():

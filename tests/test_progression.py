@@ -119,7 +119,6 @@ def test_combine_brier_conflict_factors_only_the_gcd_once(monkeypatch):
     pr = build_riesel(assignment([(0, 4, 5)]), require_covering=False)
     seen = []
     monkeypatch.setattr(modarith, "factor", lambda n: seen.append(n) or factor(n))
-    monkeypatch.setattr(progression, "factor", lambda n: pytest.fail(f"combine_brier factored {n}"))
     with pytest.raises(IncompatibleCongruencesError) as exc:
         combine_brier([ps, pr])
     assert seen == [10]  # the gcd of the two A, by crt_combine
@@ -325,6 +324,8 @@ def test_verify_digit_robust_negative_cases():
         verify_digit_robust(101, [0], base=10)
     with pytest.raises(ValueError, match="k must be positive, got 0"):
         verify_digit_robust(0, [7])
+    with pytest.raises(ValueError, match="^base must be >= 2, got 1$"):
+        verify_digit_robust(101, [7], base=1)
 
 
 def test_digit_cases_are_charged_before_any_is_built(monkeypatch):
@@ -348,6 +349,8 @@ def test_verify_base2_delicate():
     for sign, a, o, p in res.certificate:
         assert (sd.CLAVIER_K + sign * pow(2, a, p)) % p == 0
     assert not verify_base2_delicate(3, [], []).ok
+    with pytest.raises(ValueError, match="^k must be a positive odd integer, got 4$"):
+        verify_base2_delicate(4, [3], [3])
 
 
 def test_base2_delicate_crt_toys_agree_with_brute_force():
@@ -722,8 +725,7 @@ def test_period_checks_of_published_constants_never_factor(monkeypatch):
     def refuse(*args):
         pytest.fail(f"a period check factored or took an order: {args}")
 
-    for module in (modarith, covering, progression):
-        monkeypatch.setattr(module, "factor", refuse)
+    monkeypatch.setattr(modarith, "factor", refuse)
     monkeypatch.setattr(modarith, "multiplicative_order", refuse)
     assert verify_sierpinski(sd.SELFRIDGE_K, sd.SELFRIDGE_PRIMES).ok
     assert verify_brier(sd.CLAVIER_K, sd.CLAVIER_S_PRIMES, sd.CLAVIER_R_PRIMES).ok
@@ -836,8 +838,8 @@ def test_shift_preconditions():
 def test_shift_refuses_an_a_prime_it_cannot_factor(monkeypatch):
     # the base 10 factors under the starved budget; A' = 10007 * 10009 does not
     starved = Budget(trial_limit=10, rho_rounds=0, rho_restarts=0)
-    monkeypatch.setattr(progression, "factor", lambda n: factor(n, starved))
-    with pytest.raises(CapacityError, match="the base-coprime part 100160063 of A resists"):
+    monkeypatch.setattr(modarith, "factor", lambda n: factor(n, starved))
+    with pytest.raises(CapacityError, match="^cannot factor the base-coprime part 100160063 of A within the factoring budget$"):
         subprogression_shift(10 * 10007 * 10009, 1, 10)
 
 
