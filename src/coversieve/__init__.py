@@ -12,9 +12,8 @@ from .covering import (
     verify_partitioned,
 )
 from .cyclotomic import (
-    CyclotomicPoly,
     OrderPrimeSet,
-    cyclotomic_coeffs,
+    cyclotomic_degree,
     cyclotomic_value,
     load_exclusions,
     primes_of_order,

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import dataset
 from .covering import auto_w, lcm_of_moduli, verify_naive, verify_partitioned
-from .cyclotomic import cyclotomic_coeffs, cyclotomic_value, load_exclusions, primes_of_order
+from .cyclotomic import cyclotomic_degree, cyclotomic_value, load_exclusions, primes_of_order
 from .modarith import IncompatibleCongruencesError, factor, multiplicative_order
 from .progression import (
     PrimeAssignment,
@@ -91,7 +91,7 @@ def cmd_cyclo(args) -> int:
         raise ValueError("--exclude needs --factor at --eval 2 or 10")
     pairs = [("b", args.b)]
     if args.eval is None:
-        pairs.append(("degree", cyclotomic_coeffs(args.b).degree))
+        pairs.append(("degree", cyclotomic_degree(args.b)))
         _emit(pairs, args.format)
         return PASS
     value = cyclotomic_value(args.b, args.eval)

@@ -47,7 +47,7 @@ import math
 from collections import namedtuple
 from functools import cache
 
-from .modarith import CapacityError, ResidueClass, factor_whole
+from .modarith import CapacityError, ResidueClass, _shown, factor_whole
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
@@ -213,7 +213,7 @@ def _primes(classes: list[tuple[int, int]]) -> list[int]:
             g = math.gcd(rest, g)
         if rest == 1:
             continue
-        found = factor_whole(rest, lambda: f"modulus {b}").primes()
+        found = factor_whole(rest, lambda: f"modulus {_shown(b)}").primes()
         primes += found
         known *= math.prod(found)
     return sorted(primes)

@@ -1,11 +1,12 @@
-"""Cyclotomic polynomials and primes of prescribed multiplicative order.
+"""Cyclotomic values and primes of prescribed multiplicative order.
 
-The b-th cyclotomic polynomial evaluated at 2 (or 10) is the source of
-primes p with ord_p(base) = b: every prime divisor of the value either
-divides b or has multiplicative order exactly b.  Enumerating such primes
-is how covering moduli get matched to sieving primes.  Indices above the
-fixed INDEX_CAP, and values whose Möbius product passes EVAL_BITS, are
-refused with CapacityError.
+Φ_b is used only through its values and its degree, never its
+coefficients.  The value Φ_b(2) (or Φ_b(10)) is the source of primes p
+with ord_p(base) = b: every prime divisor of the value either divides b
+or has multiplicative order exactly b.  Enumerating such primes is how
+covering moduli get matched to sieving primes.  Indices above the fixed
+INDEX_CAP, and values whose Möbius product passes EVAL_BITS, are refused
+with CapacityError.
 """
 
 from __future__ import annotations
@@ -15,27 +16,11 @@ from collections import namedtuple
 
 from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, factor_whole, verify_order
 
-INDEX_CAP = 20000  # largest index b whose Φ_b is built or evaluated
+INDEX_CAP = 20000  # largest index b whose Φ_b is evaluated
 # largest numerator of the Möbius quotient, in bits, that cyclotomic_value
 # forms: about a second of big-integer products and one division, and far
 # above the 123,840 bits of the largest Φ_b(10) with b <= INDEX_CAP
 EVAL_BITS = 10**6
-
-
-class CyclotomicPoly(namedtuple("CyclotomicPoly", "index coefficients")):
-    """Exact integer coefficients of Φ_b, ascending degree; degree = φ(b)."""
-
-    __slots__ = ()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coefficients):
-            out = out * x + c
-        return out
 
 
 class OrderPrimeSet(namedtuple("OrderPrimeSet", "order base primes complete unfactored_cofactor",
@@ -49,77 +34,55 @@ class OrderPrimeSet(namedtuple("OrderPrimeSet", "order base primes complete unfa
     __slots__ = ()
 
 
-def _squarefree_divisors_mu(b: int) -> list[tuple[int, int]]:
-    """(d, μ(d)) for the squarefree divisors d of b; an index b below 1 or
-    above INDEX_CAP is refused before b is factored."""
+def _index_primes(b: int) -> list[int]:
+    """The primes of b, ascending; an index b below 1 or above INDEX_CAP is
+    refused before b is factored."""
     if b < 1:
         raise ValueError(f"index must be >= 1, got {b}")
     if b > INDEX_CAP:
         raise CapacityError(f"cyclotomic index {b} exceeds cap {INDEX_CAP}")
+    return factor_whole(b, lambda: f"cyclotomic index {b}").primes()
+
+
+def _squarefree_divisors_mu(primes: list[int]) -> list[tuple[int, int]]:
+    """(d, μ(d)) for the squarefree divisors d of a number with these primes."""
     out = [(1, 1)]
-    for q in factor_whole(b, lambda: f"cyclotomic index {b}").primes():
+    for q in primes:
         out += [(d * q, -mu) for d, mu in out]
     return out
 
 
-def _mul_binomial(coeffs: list[int], d: int) -> list[int]:
-    # multiply by (x**d - 1)
-    out = [0] * (len(coeffs) + d)
-    for i, c in enumerate(coeffs):
-        out[i + d] += c
-        out[i] -= c
-    return out
-
-
-def _div_binomial(coeffs: list[int], d: int) -> list[int]:
-    # exact division by (x**d - 1)
-    out = [0] * (len(coeffs) - d)
-    rem = list(coeffs)
-    for i in range(len(out) - 1, -1, -1):
-        q = rem[i + d]
-        out[i] = q
-        rem[i + d] -= q
-        rem[i] += q
-    if any(rem):
-        raise ArithmeticError("division by x^%d - 1 not exact" % d)
-    return out
-
-
-def cyclotomic_coeffs(b: int) -> CyclotomicPoly:
-    """Φ_b as exact integer coefficients, via the Möbius product
-    Φ_b(x) = prod (x**(b/d) - 1)**μ(d) over squarefree d | b."""
-    coeffs = [1]
-    divs = _squarefree_divisors_mu(b)
-    for d, mu in divs:
-        if mu == 1:
-            coeffs = _mul_binomial(coeffs, b // d)
-    for d, mu in divs:
-        if mu == -1:
-            coeffs = _div_binomial(coeffs, b // d)
-    return CyclotomicPoly(b, tuple(coeffs))
+def cyclotomic_degree(b: int) -> int:
+    """deg Φ_b = φ(b) = Σ μ(d)·b/d over the squarefree divisors d of b."""
+    return sum(mu * (b // d) for d, mu in _squarefree_divisors_mu(_index_primes(b)))
 
 
 def cyclotomic_value(b: int, x0: int) -> int:
-    """Exact Φ_b(x0) without materializing coefficients (for |x0| >= 2 the
-    Möbius product is taken as a quotient of big integers).  A numerator
-    of more than EVAL_BITS bits, prod x0**(b/d) - 1 over μ(d) = 1, is
-    refused before any power is taken."""
+    """Exact Φ_b(x0).  At |x0| <= 1 a closed form: Φ_1(x) = x - 1; for
+    b >= 2, Φ_b(0) = 1, Φ_b(1) = p when b is a power of the prime p and
+    1 otherwise, and Φ_b(-1) is 1 for odd b and Φ_(b/2)(1) for even b
+    (Φ_2m(x) = Φ_m(-x) for odd m > 1, Φ_m(x²) for even m; Φ_2(-1) = 0).
+    Elsewhere the Möbius product prod (x0**(b/d) - 1)**μ(d) over the
+    squarefree d | b, as a quotient of big integers whose numerator, of
+    more than EVAL_BITS bits, is refused before any power is taken."""
+    primes = _index_primes(b)
     if abs(x0) <= 1:
-        return cyclotomic_coeffs(b)(x0)
-    divisors = _squarefree_divisors_mu(b)
+        if x0 == -1 and b % 2 == 0:
+            b, x0 = b // 2, 1
+            if b % 2:  # b/2 is odd: its primes are b's without 2
+                primes = primes[1:]
+        if b == 1:
+            return x0 - 1
+        return primes[0] if x0 == 1 and len(primes) == 1 else 1
+    divisors = _squarefree_divisors_mu(primes)
     bits = sum(b // d for d, mu in divisors if mu == 1) * abs(x0).bit_length()
     if bits > EVAL_BITS:
         raise CapacityError(
             f"Φ_{b} at a {abs(x0).bit_length()}-bit point needs a product of "
             f"{bits} bits, above cap {EVAL_BITS}"
         )
-    num = den = 1
-    for d, mu in divisors:
-        t = x0 ** (b // d) - 1
-        if mu == 1:
-            num *= t
-        elif mu == -1:
-            den *= t
+    num = math.prod(x0 ** (b // d) - 1 for d, mu in divisors if mu == 1)
+    den = math.prod(x0 ** (b // d) - 1 for d, mu in divisors if mu == -1)
     value, rem = divmod(num, den)
     if rem:
         raise ArithmeticError("cyclotomic quotient not exact")
@@ -151,8 +114,9 @@ def primes_of_order(
     """Primes p (not dividing b, not excluded) with ord_p(base) exactly b.
 
     Factors Φ_b(base) under the budget.  The one possible divisor not of
-    order b, the largest prime factor of b, is stripped first; every prime
-    left is 1 (mod b).  What is left goes to factor() told order=b, so its
+    order b, the largest prime factor of b, is stripped first by gcds with
+    b, so b is factored once, by cyclotomic_value; every prime left is
+    1 (mod b).  What is left goes to factor() told order=b, so its
     trial division tries only the candidates 1 (mod lcm(2, b)) and its rho
     iterates x^lcm(2, b) + c over fewer rounds at the same reach: for base
     2 and b ≡ 4 (mod 8) as the two halves of its Aurifeuillian
@@ -165,9 +129,10 @@ def primes_of_order(
     if b < 2:
         raise ValueError(f"order must be >= 2, got {b}")
     value = cyclotomic_value(b, base)
-    q = factor_whole(b, lambda: f"cyclotomic index {b}").primes()[-1]
-    while value % q == 0:
-        value //= q
+    g = math.gcd(value, b)
+    while g > 1:
+        value //= g
+        g = math.gcd(value, g)
     parts = _aurifeuillian_parts(b, base, value)
     found = [factor(part, budget, order=b) for part in parts if part > 1]
     value = math.prod(f.cofactor for f in found)

@@ -14,6 +14,15 @@ from collections.abc import Callable
 from functools import cache
 
 
+def _shown(n: int) -> str:
+    """n in decimal, or its size in bits past Python's int-to-str digit
+    limit, so that a message naming n never fails on the naming."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {n.bit_length()}-bit number"
+
+
 class IncompatibleCongruencesError(ValueError):
     """Two congruences in a CRT system disagree modulo a shared prime power.
 
@@ -22,7 +31,7 @@ class IncompatibleCongruencesError(ValueError):
 
     def __init__(self, left: ResidueClass, right: ResidueClass, prime: int, prime_power: int):
         super().__init__(
-            f"congruences {left} and {right} conflict modulo {prime_power}"
+            f"congruences {left} and {right} conflict modulo {_shown(prime_power)}"
         )
         self.left = left
         self.right = right
@@ -48,7 +57,7 @@ class ResidueClass(namedtuple("ResidueClass", "a b")):
         return n % self.b == self.a
 
     def __str__(self):
-        return f"{self.a} (mod {self.b})"
+        return f"{_shown(self.a)} (mod {_shown(self.b)})"
 
 
 class Budget(namedtuple("Budget", "trial_limit rho_rounds rho_restarts",
@@ -392,8 +401,8 @@ def factor_whole(n: int, what: Callable[[], str]) -> FactorizationResult:
     """factor(n) under the default budget when it leaves no cofactor, the
     empty factorization for n = 1; otherwise CapacityError, naming n by
     what().  Every caller that needs all the primes of n factors here.
-    what is called only to refuse, so no number is formatted (nor passes
-    the int-to-str digit limit) on the way to a factorization."""
+    what is called only to refuse, and names its number by _shown(), so a
+    refusal past the int-to-str digit limit is still this error."""
     if n == 1:
         return FactorizationResult(())
     f = factor(n)
@@ -421,7 +430,7 @@ def multiplicative_order(g: int, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if math.gcd(g, p) != 1:
         raise ValueError(f"gcd({g}, {p}) != 1; order undefined")
-    return _least_exponent(g, p, p - 1, lambda: f"p - 1 = {p - 1}")
+    return _least_exponent(g, p, p - 1, lambda: f"p - 1 = {_shown(p - 1)}")
 
 
 def verify_order(g: int, p: int, order: int) -> bool:
@@ -436,7 +445,7 @@ def verify_order(g: int, p: int, order: int) -> bool:
         return False
     if pow(g, order, p) != 1:
         return False
-    return _least_exponent(g, p, order, lambda: f"order {order}") == order
+    return _least_exponent(g, p, order, lambda: f"order {_shown(order)}") == order
 
 
 def _merge(c1: ResidueClass, c2: ResidueClass, g: int) -> ResidueClass:

@@ -21,6 +21,7 @@ from .covering import CoveringSystem, _least_gap, _Work, verify_partitioned
 from .modarith import (
     CapacityError,
     ResidueClass,
+    _shown,
     crt_combine,
     factor_whole,
     is_probable_prime,
@@ -399,7 +400,7 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
         raise ValueError(f"base must be >= 2, got {base}")
     if math.gcd(A, B) != 1:
         raise ValueError(f"gcd(A, B) = {math.gcd(A, B)} != 1")
-    fb = factor_whole(base, lambda: f"the base {base}")
+    fb = factor_whole(base, lambda: f"the base {_shown(base)}")
     a_prime, u = A, 1
     for q, eb in fb.factors:
         ea = 0
@@ -409,7 +410,7 @@ def subprogression_shift(A: int, B: int, base: int) -> ShiftResult:
         if ea == 0:
             raise ValueError(f"prime {q} divides the base but not A")
         u = max(u, -(-ea // eb))
-    fa = factor_whole(a_prime, lambda: f"the base-coprime part {a_prime} of A")
+    fa = factor_whole(a_prime, lambda: f"the base-coprime part {_shown(a_prime)} of A")
     # A must have a prime divisor exceeding the base
     if max(fa.primes(), default=1) <= base:
         raise ValueError(f"A = {A} has no prime divisor > base {base}")

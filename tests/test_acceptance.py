@@ -120,13 +120,14 @@ def test_criterion_5_classical_constants():
 def test_criterion_6_cyclotomic_identity():
     ok = True
     for b in range(1, 201):
-        prod = 1
-        for d in range(1, b + 1):
-            if b % d == 0:
-                prod *= cyclotomic_value(d, 2)
-        ok &= prod == 2**b - 1
+        divisors = [d for d in range(1, b + 1) if b % d == 0]
+        ok &= math.prod(cyclotomic_value(d, 2) for d in divisors) == 2**b - 1
+        for x in (-3, 0, 3, 10):
+            ok &= math.prod(cyclotomic_value(d, x) for d in divisors[1:]) == (x**b - 1) // (x - 1)
+        ok &= math.prod(cyclotomic_value(d, 1) for d in divisors[1:]) == b
     ok &= primes_of_order(64, 2).primes == (641, 6700417)
-    report(6, ok, "prod of cyclotomic values = 2^b - 1 for b <= 200; "
+    report(6, ok, "prod of cyclotomic values = 2^b - 1 for b <= 200, and over d > 1 "
+                  "= (x^b - 1)/(x - 1) at x = -3, 0, 3, 10 and = b at x = 1; "
                   "the order-64 primes are 641 and 6700417")
 
 

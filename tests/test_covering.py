@@ -143,6 +143,17 @@ def test_work_primes_factor_only_what_is_left(monkeypatch):
         covering._primes([(0, 2), (1, 4), (0, 2 * n)])
 
 
+def test_refusal_past_the_digit_limit_names_the_modulus_by_size(monkeypatch):
+    """An unfactored modulus past the int-to-str digit limit is refused by
+    its own CapacityError, naming its size, not by the limit's ValueError."""
+    b = (2**61 - 1) * (2**64 - 59) * 3**9000
+    starved = Budget(trial_limit=100, rho_rounds=10, rho_restarts=1)
+    monkeypatch.setattr(modarith, "factor", lambda n: factor(n, starved))
+    with pytest.raises(CapacityError,
+                       match=f"^cannot factor modulus a {b.bit_length()}-bit number within "):
+        covering._primes([(0, b)])
+
+
 def test_auto_w_rule():
     data = appendix_data()
     assert auto_w(data.cov_sier.system) == 780   # 4 * 3 * 5 * 13

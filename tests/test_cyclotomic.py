@@ -6,9 +6,8 @@ import pytest
 
 from coversieve import cyclotomic, modarith
 from coversieve.cyclotomic import (
-    CyclotomicPoly,
     OrderPrimeSet,
-    cyclotomic_coeffs,
+    cyclotomic_degree,
     cyclotomic_value,
     load_exclusions,
     primes_of_order,
@@ -85,23 +84,34 @@ def mobius_poly_oracle(b):
     return out
 
 
-def test_coeff_examples():
-    assert cyclotomic_coeffs(1).coefficients == (-1, 1)
-    assert cyclotomic_coeffs(4).coefficients == (1, 0, 1)
-    assert cyclotomic_coeffs(6).coefficients == (1, -1, 1)
+def horner(coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+POINTS = (-3, -2, -1, 0, 1, 2, 3, 10)
 
 
 @pytest.mark.parametrize("b", list(range(1, 31)) + [105, 128, 255])
 def test_coeffs_against_mobius_oracle(b):
-    assert list(cyclotomic_coeffs(b).coefficients) == mobius_poly_oracle(b)
+    """Φ_b(x) equals the oracle's polynomial at every point, |x| <= 1
+    (the closed forms) as well as the Möbius quotient."""
+    coeffs = mobius_poly_oracle(b)
+    for x in POINTS:
+        assert cyclotomic_value(b, x) == horner(coeffs, x), (b, x)
 
 
 def test_degree_is_euler_phi():
     for b in range(1, 201):
-        assert cyclotomic_coeffs(b).degree == euler_phi(b), b
+        assert cyclotomic_degree(b) == euler_phi(b), b
 
 
 def test_value_examples():
+    assert mobius_poly_oracle(1) == [-1, 1]
+    assert mobius_poly_oracle(4) == [1, 0, 1]
+    assert mobius_poly_oracle(6) == [1, -1, 1]
     assert cyclotomic_value(4, 2) == 5
     assert cyclotomic_value(64, 2) == 4294967297
     assert cyclotomic_value(6, 2) == 3
@@ -109,27 +119,34 @@ def test_value_examples():
 
 def test_value_matches_coefficients():
     for b in (1, 2, 12, 36, 105, 432):
-        poly = cyclotomic_coeffs(b)
+        coeffs = mobius_poly_oracle(b)
         for x in (-3, -1, 0, 1, 2, 10):
-            assert poly(x) == cyclotomic_value(b, x), (b, x)
+            assert horner(coeffs, x) == cyclotomic_value(b, x), (b, x)
+
+
+def divisor_product(b, x, least=1):
+    """prod Φ_d(x) over the divisors d >= least of b."""
+    return math.prod(cyclotomic_value(d, x) for d in range(least, b + 1) if b % d == 0)
 
 
 def test_product_identity():
+    """prod over d | b of Φ_d(x) = x^b - 1; without d = 1 it is
+    (x^b - 1)/(x - 1), which at x = 1 is b and pins Φ_d(1) = p for the
+    powers d of a prime p."""
     for b in range(1, 201):
-        prod = 1
-        for d in range(1, b + 1):
-            if b % d == 0:
-                prod *= cyclotomic_value(d, 2)
-        assert prod == 2**b - 1, b
+        assert divisor_product(b, 2) == 2**b - 1, b
+        for x in (-3, 0, 3, 10):
+            assert divisor_product(b, x, 2) == (x**b - 1) // (x - 1), (b, x)
+        assert divisor_product(b, 1, 2) == b, b
 
 
 def test_index_cap():
     with pytest.raises(CapacityError):
-        cyclotomic_coeffs(20001)
+        cyclotomic_degree(20001)
     with pytest.raises(CapacityError):
         cyclotomic_value(20001, 2)
     # the appendix's largest modulus stays inside the cap
-    assert cyclotomic_coeffs(18018).degree == euler_phi(18018)
+    assert cyclotomic_degree(18018) == euler_phi(18018)
 
 
 def numerator_bits(b, x0):
@@ -161,7 +178,7 @@ def test_eval_bits_refuses_before_any_power():
 def test_indices_outside_the_cap_are_refused_before_b_is_factored(monkeypatch):
     monkeypatch.setattr(modarith, "factor", lambda *args: pytest.fail(f"factored {args}"))
     cap = cyclotomic.INDEX_CAP
-    for build in (cyclotomic_coeffs, lambda b: cyclotomic_value(b, 1),
+    for build in (cyclotomic_degree, lambda b: cyclotomic_value(b, 1),
                   lambda b: cyclotomic_value(b, 10**6)):
         for b in (0, -5):
             with pytest.raises(ValueError, match=f"^index must be >= 1, got {b}$"):
@@ -176,8 +193,8 @@ def test_eval_bits_admits_every_index_at_2_and_10():
     b = 19950
     widest = max(range(1, cyclotomic.INDEX_CAP + 1), key=lambda c: numerator_bits(c, 10))
     assert widest == b and numerator_bits(b, 10) == 30_960 * 4 <= cyclotomic.EVAL_BITS
-    poly = cyclotomic_coeffs(b)
-    assert cyclotomic_value(b, 10) == poly(10) and cyclotomic_value(b, 2) == poly(2)
+    for x in (2, 10):
+        assert divisor_product(b, x) == x**b - 1
 
 
 def test_primes_of_order_examples():
@@ -248,6 +265,22 @@ def test_primes_of_order_golden(args, expected):
         order=args[0], base=args[1], primes=primes, complete=complete,
         unfactored_cofactor=cofactor,
     )
+
+
+@pytest.mark.parametrize("b", (12, 432, 1024))
+def test_primes_of_order_factors_its_index_once(b, monkeypatch):
+    """b is factored once, for the Möbius divisors of Φ_b(2); the largest
+    prime of b is stripped from the value without a second factorization."""
+    real = cyclotomic.factor_whole
+    calls = []
+
+    def counting(n, what):
+        calls.append(n)
+        return real(n, what)
+
+    monkeypatch.setattr(cyclotomic, "factor_whole", counting)
+    primes_of_order(b, 2, STARVED)
+    assert calls.count(b) == 1
 
 
 def test_order_check_factors_b_at_the_default_budget():

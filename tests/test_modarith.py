@@ -336,6 +336,15 @@ def test_crt_examples():
     assert exc.value.prime == 3 and exc.value.prime_power == 3
 
 
+def test_conflict_past_the_digit_limit_is_still_the_conflict():
+    m = 3**9100
+    with pytest.raises(IncompatibleCongruencesError) as exc:
+        crt_combine([ResidueClass(0, m), ResidueClass(1, m)])
+    assert exc.value.prime == 3 and exc.value.prime_power == m
+    size = f"a {m.bit_length()}-bit number"
+    assert str(exc.value) == f"congruences 0 (mod {size}) and 1 (mod {size}) conflict modulo {size}"
+
+
 def test_congruence_normalization():
     assert ResidueClass(-1, 5).a == 4
     assert ResidueClass(17, 5).a == 2

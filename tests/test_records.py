@@ -14,7 +14,6 @@ from coversieve import (
     Budget,
     CheckResult,
     CoveringSystem,
-    CyclotomicPoly,
     FactorizationResult,
     OrderPrimeSet,
     PrimeAssignment,
@@ -39,8 +38,6 @@ RECORDS = [
      "CoveringSystem(classes=(ResidueClass(a=0, b=2), ResidueClass(a=1, b=2)), "
      "target=ResidueClass(a=0, b=1))"),
     (Verdict(False, 7), Verdict(covered=False, witness=7), "Verdict(covered=False, witness=7)"),
-    (CyclotomicPoly(4, (1, 0, 1)), CyclotomicPoly(4, (1, 0, 1)),
-     "CyclotomicPoly(index=4, coefficients=(1, 0, 1))"),
     (OrderPrimeSet(12, 2, (13,), True), OrderPrimeSet(12, 2, (13,), True, 1),
      "OrderPrimeSet(order=12, base=2, primes=(13,), complete=True, unfactored_cofactor=1)"),
     (PrimeAssignment(R(1, 2), 3), PrimeAssignment(R(3, 2), 3),
