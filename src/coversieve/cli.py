@@ -139,16 +139,15 @@ def cmd_check(args) -> int:
     if args.kind == "brier":
         pairs.append(("sierpinski.ok", int(res.sierpinski.ok)))
         pairs.append(("riesel.ok", int(res.riesel.ok)))
-        for sub in (res.sierpinski, res.riesel):
-            if not sub.ok:
-                pairs.append(("witness", sub.witness))
-                pairs.append(("reason", sub.reason))
-                break
+        # the first failing side, if any, answers for the pair
+        res = res.riesel if res.sierpinski.ok else res.sierpinski
     else:
         pairs.append(("period", res.period))
-        if not res.ok:
+    if not res.ok:
+        # a check failed by its bound on k, not by an uncovered n, has no witness
+        if res.witness is not None:
             pairs.append(("witness", res.witness))
-            pairs.append(("reason", res.reason))
+        pairs.append(("reason", res.reason))
     _emit(pairs, args.format)
     return PASS if res.ok else FAIL
 
@@ -209,13 +208,17 @@ def cmd_shift(args) -> int:
 
 def cmd_dataset(args) -> int:
     if args.action == "export":
-        written = dataset.export_data_files(args.out)
+        if args.sierpinski is not None or args.riesel is not None:
+            raise ValueError("--sierpinski and --riesel need verify-appendix")
+        written = dataset.export_data_files("data" if args.out is None else args.out)
         _emit([("written", p) for p in written], args.format)
         return PASS
+    if args.out is not None:
+        raise ValueError("--out needs export")
     data = dataset.appendix_data()
-    if args.sierpinski:
+    if args.sierpinski is not None:
         data = replace(data, cov_sier=dataset.load_covering(args.sierpinski))
-    if args.riesel:
+    if args.riesel is not None:
         data = replace(data, cov_ries=dataset.load_covering(args.riesel))
     ok = True
     pairs = []
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="embedded appendix data operations")
     p.add_argument("action", choices=("verify-appendix", "export"))
-    p.add_argument("--out", default="data")
+    p.add_argument("--out")  # export only; data when omitted
     p.add_argument("--sierpinski", help="override the embedded Sierpinski covering")
     p.add_argument("--riesel", help="override the embedded Riesel covering")
     _add_common(p)

@@ -1,11 +1,13 @@
-"""Residue classes and covering systems, with two independent verifiers.
+"""Residue classes and covering systems, with two verifiers.
 
 verify_naive, the literal oracle, scans every member of the target below
 the lcm of the moduli.  verify_partitioned, the verifier the library
 itself uses, walks a residue tree (after Nielsen, J. Number Theory 129,
 2009) and handles any size, the 447- and 459-class systems included.
-Both must always agree.  The period checks of progression run on the same
-tree (_least_gap).
+Both must always agree, but they are not independent: they share the
+offset form (_offset_form), the scan kernel (_first_uncovered) and the
+prefix rule (_prefix), so their agreement does not test those.  The
+period checks of progression run on the same tree (_least_gap).
 
 A root of period P above _TILE first scans its first min(_TILE, P/16)
 members, in both verifiers: a gap there is the least witness, found before

@@ -115,14 +115,15 @@ def primes_of_order(
 
     Factors Φ_b(base) under the budget.  The one possible divisor not of
     order b, the largest prime factor of b, is stripped first by gcds with
-    b, so b is factored once, by cyclotomic_value; every prime left is
-    1 (mod b).  What is left goes to factor() told order=b, so its
-    trial division tries only the candidates 1 (mod lcm(2, b)) and its rho
+    b, which needs no factoring of b; every prime left is 1 (mod b).
+    What is left goes to factor() told order=b, so its trial division
+    tries only the candidates 1 (mod lcm(2, b)) and its rho
     iterates x^lcm(2, b) + c over fewer rounds at the same reach: for base
     2 and b ≡ 4 (mod 8) as the two halves of its Aurifeuillian
     factorization, one factor() call each, and otherwise whole.
     unfactored_cofactor is the product of what each call leaves.
-    Every listed prime has its order verified.
+    Every listed prime has its order verified by verify_order, which
+    factors b again for each, after cyclotomic_value's factoring of b.
     """
     if base not in (2, 10):
         raise ValueError(f"base must be 2 or 10, got {base}")

@@ -172,7 +172,7 @@ def _walk(base: int, p: int, residues, work: _Work) -> tuple[int, dict[int, int]
         work.charge(entries=64)
 
 
-def _period_check(base: int, cases):
+def _period_check(base: int, cases, failure) -> CheckResult:
     """Shared core of the period checks.
 
     Each case (label, coeff, target, primes) asks whether every n >= 0 has
@@ -184,11 +184,12 @@ def _period_check(base: int, cases):
     prime is checked; that case walks all its primes, as its period is the
     lcm of their orders.  Cases are checked in order, each by the residue
     tree (_least_gap) over its hit classes, against one cumulative
-    certificate of (label, a, order, p) entries.  Returns (failure, period,
-    certificate): failure is (label, least uncovered n) for the first
-    failing case, with period the lcm of its primes' orders, else None with
-    period the lcm over all cases.  One _Work bounds the call's walks and
-    trees by WORK_CAP.  Every prime is tested for primality up front.
+    certificate of (label, a, order, p) entries.  At the first failing
+    case, failure(label, least uncovered n) gives the (witness, reason) of
+    the failed CheckResult, whose period is the lcm of that case's primes'
+    orders; if every case passes, the period is the lcm over all cases.
+    One _Work bounds the call's walks and trees by WORK_CAP.  Every prime
+    is tested for primality up front.
     """
     for p in sorted(set().union(*(primes for *_, primes in cases))):
         if not is_probable_prime(p):
@@ -222,8 +223,9 @@ def _period_check(base: int, cases):
             cert.append((label, a, o, p))
         gap = _least_gap(classes, 1, work)
         if gap is not None:
-            return (label, gap), periods[-1], tuple(cert)
-    return None, math.lcm(*periods), tuple(cert)
+            witness, reason = failure(label, gap)
+            return CheckResult(False, witness, periods[-1], tuple(cert), reason)
+    return CheckResult(True, period=math.lcm(*periods), certificate=tuple(cert))
 
 
 def _verify_pm(k, primes, kind):
@@ -235,20 +237,13 @@ def _verify_pm(k, primes, kind):
     primes = sorted(set(primes))
     if 2 in primes:
         raise ValueError("2 cannot divide k*2^n ± 1; use odd primes")
-    failure, L, cert = _period_check(2, [(kind, k, sign, primes)])
-    if failure is not None:
-        gap = failure[1]
-        return CheckResult(
-            False, witness=gap, period=L, certificate=cert,
-            reason=f"n = {gap}: no prime in the set divides k*2^n {'+' if sign < 0 else '-'} 1",
-        )
+    res = _period_check(2, [(kind, k, sign, primes)], lambda _, n: (
+        n, f"n = {n}: no prime in the set divides k*2^n {'+' if sign < 0 else '-'} 1"))
     bound = max(primes) + (0 if sign < 0 else 1) if primes else 0
-    if k <= bound:
-        return CheckResult(
-            False, witness=None, period=L, certificate=cert,
-            reason=f"k = {k} does not exceed {bound}; divisibility cannot force compositeness",
-        )
-    return CheckResult(True, period=L, certificate=cert)
+    if res.ok and k <= bound:
+        return res._replace(ok=False, reason=f"k = {k} does not exceed {bound}; "
+                                              "divisibility cannot force compositeness")
+    return res
 
 
 def verify_sierpinski(k: int, primes) -> CheckResult:
@@ -298,15 +293,9 @@ def verify_digit_robust(k: int, primes, base: int = 10) -> CheckResult:
     # base whose cases alone pass WORK_CAP is refused before any is built
     _Work().charge(nodes=2 * (base - 1), entries=2 * (base - 1) * len(primes))
     # k + d*base^n ≡ 0 (mod p)  <=>  d*base^n ≡ -k (mod p)
-    cases =[(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
-    failure, L, cert = _period_check(base, cases)
-    if failure is not None:
-        d, gap = failure
-        return CheckResult(
-            False, witness=failure, period=L, certificate=cert,
-            reason=f"k + ({d})*{base}^{gap} has no divisor in the set",
-        )
-    return CheckResult(True, period=L, certificate=cert)
+    cases = [(d, d, -k, primes) for d in range(-(base - 1), base) if d != 0]
+    return _period_check(base, cases, lambda d, n: (
+        (d, n), f"k + ({d})*{base}^{n} has no divisor in the set"))
 
 
 def verify_base2_delicate(k: int, primes_s, primes_r) -> CheckResult:
@@ -320,14 +309,8 @@ def verify_base2_delicate(k: int, primes_s, primes_r) -> CheckResult:
         raise ValueError("k ± 2^n is odd for n >= 1; use odd primes")
     # k + sign*2^n ≡ 0 (mod p)  <=>  2^n ≡ -sign*k (mod p)
     cases = [(1, 1, -k, primes_s), (-1, 1, k, primes_r)]
-    failure, L, cert = _period_check(2, cases)
-    if failure is not None:
-        sign, gap = failure
-        return CheckResult(
-            False, witness=failure, period=L, certificate=cert,
-            reason=f"k {'+' if sign > 0 else '-'} 2^{gap} has no divisor in the set",
-        )
-    return CheckResult(True, period=L, certificate=cert)
+    return _period_check(2, cases, lambda sign, n: (
+        (sign, n), f"k {'+' if sign > 0 else '-'} 2^{n} has no divisor in the set"))
 
 
 # ---------------------------------------------------------------------------

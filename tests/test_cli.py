@@ -263,6 +263,34 @@ def test_check_beyond_a_whole_period_scan(capsys, tmp_path):
     assert kv(out)["witness"] == "6" and kv(out)["period"] == str(sd.SELFRIDGE_MERSENNE_PERIOD)
 
 
+def test_failing_checks_print_their_kv_bytes(capsys, tmp_path):
+    # a failing case names its witness and reason; a k that does not exceed
+    # the largest prime (131071, of order 17) fails with no witness line
+    p, r, s = tmp_path / "p", tmp_path / "r", tmp_path / "s"
+    p.write_text("3\n7\n11\n13\n")
+    r.write_text("3\n5\n7\n")
+    s.write_text("".join(f"{q}\n" for q in sd.SELFRIDGE_PRIMES + [131071]))
+    bound = "reason=k = 78557 does not exceed 131071; divisibility cannot force compositeness\n"
+    for argv, expected in (
+        (["--kind", "digit", "--k", 1, "--primes", p],
+         "kind=digit\nk=1\nok=0\nperiod=6\nwitness=(-9, 0)\n"
+         "reason=k + (-9)*10^0 has no divisor in the set\n"),
+        (["--kind", "base2", "--k", 1, "--primes", p, "--primes-riesel", r],
+         "kind=base2\nk=1\nok=0\nperiod=60\nwitness=(1, 0)\n"
+         "reason=k + 2^0 has no divisor in the set\n"),
+        (["--kind", "riesel", "--k", 509203, "--primes", r],
+         "kind=riesel\nk=509203\nok=0\nperiod=12\nwitness=3\n"
+         "reason=n = 3: no prime in the set divides k*2^n - 1\n"),
+        (["--kind", "sierpinski", "--k", 78557, "--primes", s],
+         "kind=sierpinski\nk=78557\nok=0\nperiod=612\n" + bound),
+        (["--kind", "brier", "--k", 78557, "--primes", s, "--primes-riesel", s],
+         "kind=brier\nk=78557\nok=0\nsierpinski.ok=0\nriesel.ok=0\n" + bound),
+    ):
+        assert run(capsys, "check", *argv, "--format", "kv") == (1, expected), argv
+    code, out = run(capsys, "check", "--kind", "sierpinski", "--k", 78557, "--primes", s)
+    assert code == 1 and "witness" not in out
+
+
 def test_check_refuses_a_digit_base_beyond_the_bound_at_once(capsys, tmp_path, monkeypatch):
     # 2(10^12 - 1) cases would be built before the first is scanned
     f = tmp_path / "primes.txt"
@@ -732,6 +760,25 @@ def test_dataset_export(capsys, tmp_path):
     code, out = run(capsys, "dataset", "export", "--out", out_dir, "--format", "kv")
     assert code == 0
     assert sorted(os.listdir(out_dir)) == [
+        "c0.cov", "riesel.cov", "sierpinski.cov", "table1.cov",
+    ]
+
+
+def test_dataset_refuses_a_flag_its_action_ignores(capsys, tmp_path, monkeypatch):
+    # an empty --sierpinski is a missing file, not the embedded covering
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in (
+        (["verify-appendix", "--sierpinski", ""], "error: "),
+        (["export", "--sierpinski", "x"], "error: --sierpinski and --riesel need verify-appendix\n"),
+        (["export", "--riesel", "x"], "error: --sierpinski and --riesel need verify-appendix\n"),
+        (["verify-appendix", "--out", "d"], "error: --out needs export\n"),
+    ):
+        code = main(["dataset", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith(expected) and err.count("\n") == 1, argv
+    assert os.listdir(tmp_path) == []
+    assert run(capsys, "dataset", "export", "--format", "kv")[0] == 0
+    assert sorted(os.listdir(tmp_path / "data")) == [
         "c0.cov", "riesel.cov", "sierpinski.cov", "table1.cov",
     ]
 

@@ -334,7 +334,8 @@ def test_digit_cases_are_charged_before_any_is_built(monkeypatch):
     checked = []
     real = progression._period_check
     monkeypatch.setattr(progression, "_period_check",
-                        lambda base, cases: checked.append(len(cases)) or real(base, cases))
+                        lambda base, cases, failure: checked.append(len(cases))
+                        or real(base, cases, failure))
     monkeypatch.setattr(covering, "WORK_CAP", 10)
     assert not verify_digit_robust(1, [], base=6).ok
     assert not verify_digit_robust(1, [7], base=5).ok
@@ -594,7 +595,7 @@ def literal_scan(classes, count):
     return next((n for n in range(count) if all(n % o != a for a, o in classes)), None)
 
 
-def reference_period_check(base, cases, scan=literal_scan):
+def reference_period_check(base, cases, failure, scan=literal_scan):
     """_period_check as it stood before the shared walk: each order comes
     from multiplicative_order, each (case, prime) steps a from 0 until
     coeff * base^a ≡ target (mod p), and each case's whole period is
@@ -620,8 +621,9 @@ def reference_period_check(base, cases, scan=literal_scan):
             cert.append((label, a, o, p))
         gap = scan(classes, L)
         if gap is not None:
-            return (label, gap), L, tuple(cert)
-    return None, math.lcm(*periods), tuple(cert)
+            witness, reason = failure(label, gap)
+            return CheckResult(False, witness, L, tuple(cert), reason)
+    return CheckResult(True, period=math.lcm(*periods), certificate=tuple(cert))
 
 
 # primes with small orders of 10 (1, 6, 2, 6, 3, 5, 8, 4, 8, 7, 5, 10, 12)
@@ -638,14 +640,18 @@ def test_shared_walk_matches_the_reference_on_base10_digit_checks(monkeypatch):
     # before the first failing case
     rng = random.Random(1301)
     checks = []
+
+    def failure(label, n):
+        return (label, n), f"case {label} fails at n = {n}"
+
     for _ in range(40):
         k = rng.randrange(1, 10**15) * rng.choice((1, 1, 3, 7, 21))
         primes = sorted(rng.sample(BASE10_POOL, rng.randrange(1, len(BASE10_POOL) + 1)))
         checks.append((k, primes))
         cases = [(d, d, -k, primes) for d in range(-9, 10) if d != 0]
         for i in range(len(cases)):
-            assert (progression._period_check(10, cases[i:])
-                    == reference_period_check(10, cases[i:])), (k, primes, i)
+            assert (progression._period_check(10, cases[i:], failure)
+                    == reference_period_check(10, cases[i:], failure)), (k, primes, i)
     got = [verify_digit_robust(k, primes) for k, primes in checks]
     monkeypatch.setattr(progression, "_period_check", reference_period_check)
     assert got == [verify_digit_robust(k, primes) for k, primes in checks]
