@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cache
 
-from .modarith import CapacityError, ResidueClass, _shown, factor_whole
+from .modarith import CapacityError, ResidueClass, _prime_to, _shown, factor_whole
 
 NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
@@ -103,16 +104,16 @@ def satisfying_class(system: CoveringSystem, n: int) -> ResidueClass | None:
     return None
 
 
-def _offset_form(system: CoveringSystem) -> tuple[list[tuple[int, int]], int, int]:
+def _offset_form(system: CoveringSystem) -> tuple[Sequence[tuple[int, int]], int, int]:
     """Rewrite a target-restricted system over the target's own coordinates.
 
     Members of target t (mod M) are x = t + M*y; each class maps to a class
     in y.  Returns (classes as (a', b') pairs, M, t); witnesses map back as
-    x = t + M*y.
+    x = t + M*y.  The target of all integers returns the system's own classes.
     """
     t, M = system.target.a, system.target.b
     if M == 1:
-        return [(c.a, c.b) for c in system.classes], 1, 0
+        return system.classes, 1, 0
     out = []
     for cls in system.classes:
         g = math.gcd(M, cls.b)
@@ -209,10 +210,7 @@ def _primes(classes: list[tuple[int, int]]) -> list[int]:
     only what is left above 1."""
     primes, known = [], 1  # known: the product of primes
     for b in {b for _, b in classes}:
-        rest, g = b, math.gcd(b, known)
-        while g > 1:
-            rest //= g
-            g = math.gcd(rest, g)
+        rest = _prime_to(b, known)
         if rest == 1:
             continue
         found = factor_whole(rest, lambda: f"modulus {_shown(b)}").primes()

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .modarith import Budget, CapacityError, DEFAULT_BUDGET, factor, factor_whole, verify_order
+from .modarith import (
+    Budget, CapacityError, DEFAULT_BUDGET, _prime_to, factor, factor_whole, verify_order,
+)
 
 INDEX_CAP = 20000  # largest index b whose Φ_b is evaluated
 # largest numerator of the Möbius quotient, in bits, that cyclotomic_value
@@ -111,11 +113,12 @@ def primes_of_order(
     budget: Budget = DEFAULT_BUDGET,
     exclude: frozenset[int] | set[int] = frozenset(),
 ) -> OrderPrimeSet:
-    """Primes p (not dividing b, not excluded) with ord_p(base) exactly b.
+    """Primes p not in exclude with ord_p(base) exactly b.
 
     Factors Φ_b(base) under the budget.  The one possible divisor not of
     order b, the largest prime factor of b, is stripped first by gcds with
-    b, which needs no factoring of b; every prime left is 1 (mod b).
+    b, which needs no factoring of b; every prime left is 1 (mod b), so
+    none divides b and only exclude skips a prime that factor() lists.
     What is left goes to factor() told order=b, so its trial division
     tries only the candidates 1 (mod lcm(2, b)) and its rho
     iterates x^lcm(2, b) + c over fewer rounds at the same reach: for base
@@ -129,17 +132,12 @@ def primes_of_order(
         raise ValueError(f"base must be 2 or 10, got {base}")
     if b < 2:
         raise ValueError(f"order must be >= 2, got {b}")
-    value = cyclotomic_value(b, base)
-    g = math.gcd(value, b)
-    while g > 1:
-        value //= g
-        g = math.gcd(value, g)
-    parts = _aurifeuillian_parts(b, base, value)
+    parts = _aurifeuillian_parts(b, base, _prime_to(cyclotomic_value(b, base), b))
     found = [factor(part, budget, order=b) for part in parts if part > 1]
     value = math.prod(f.cofactor for f in found)
     primes = []
     for p in sorted(p for f in found for p in f.primes()):
-        if p in exclude or b % p == 0:
+        if p in exclude:
             continue
         if not verify_order(base, p, b):
             raise ArithmeticError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import _tables
 from .covering import (
@@ -161,19 +162,11 @@ def table2_rows() -> tuple[tuple[int, ResidueClass], ...]:
 # audits
 
 
-class Report:
-    """An audit's violations and facts; reports compare by value."""
+class Report(SimpleNamespace):
+    """An audit's name, violations and facts; reports compare by value."""
 
     def __init__(self, name: str):
-        self.name = name
-        self.violations: list[str] = []
-        self.facts: dict[str, object] = {}
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is Report else NotImplemented
-
-    def __repr__(self):
-        return f"Report(name={self.name!r}, violations={self.violations!r}, facts={self.facts!r})"
+        super().__init__(name=name, violations=[], facts={})
 
     @property
     def ok(self) -> bool:

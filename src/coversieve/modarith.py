@@ -8,6 +8,7 @@ included, so results are reproducible and safe to call from multiple threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable
@@ -241,40 +242,37 @@ def is_probable_prime(n: int) -> bool:
 def _trial_division(n: int, limit: int, step: int) -> tuple[list[tuple[int, int]], int]:
     """Prime powers of n found by trial division up to limit, and the rest.
 
-    At step 2 the candidates are 2, 3, 5 and the 30-wheel.  At a larger
-    step they are only the c ≡ 1 (mod step), and c is divided out only if
-    it is prime: a false promise can make a composite candidate divide n."""
+    At step 2 the candidates are 2, 3, 5 and the 30-wheel from 7.  At a
+    larger step they are only the c ≡ 1 (mod step), and c is divided out
+    only if it is prime: a false promise can make a composite candidate
+    divide n.  Division stops at the first candidate c with c > limit or
+    c^2 > n; at step 2 a rest left by c^2 > n is 1 or prime."""
     factors = []
     if step == 2:
-        head, wheel, stride = (2, 3, 5), (1, 7, 11, 13, 17, 19, 23, 29), 30
+        wheel = (b + w for b in itertools.count(0, 30) for w in (7, 11, 13, 17, 19, 23, 29, 31))
+        candidates = itertools.chain((2, 3, 5), wheel)
     else:
-        head, wheel, stride = (), (1,), step
-    for p in head:
-        if p > limit:
+        candidates = itertools.count(step + 1, step)
+    for c in candidates:
+        if c > limit or c * c > n:
             return factors, n
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    base = 0
-    while True:
-        for w in wheel:
-            c = base + w
-            if c == 1:
-                continue
-            if c > limit or c * c > n:
-                return factors, n
-            if n % c == 0 and (step == 2 or is_probable_prime(c)):
-                e = 0
-                while n % c == 0:
-                    n //= c
-                    e += 1
-                factors.append((c, e))
-        base += stride
-        if base > limit or (n > 1 and base * base > n):
-            return factors, n
+        if n % c == 0 and (step == 2 or is_probable_prime(c)):
+            e = 0
+            while n % c == 0:
+                n //= c
+                e += 1
+            factors.append((c, e))
+
+
+def _prime_to(n: int, m: int) -> int:
+    """The largest divisor of n prime to m, by repeated gcds: no factoring.
+    While a prime of m still divides n it divides every gcd, so the loop
+    ends only once none does."""
+    g = math.gcd(n, m)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g)
+    return n
 
 
 @cache

@@ -232,6 +232,46 @@ def test_factor_takes_a_remainder_up_to_the_limit_squared_as_prime(monkeypatch):
     assert tested[0] == 6
 
 
+def literal_factorization(n):
+    """{p: e} for n, by division by every d from 2 up."""
+    out, d = {}, 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    return out
+
+
+LITERAL = {n: literal_factorization(n) for n in range(2, 2500)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 6, 14, 24])
+@pytest.mark.parametrize("limit", [-3, *range(9), 29, 30, 31])
+def test_factor_agrees_with_the_literal_factorization(limit, order):
+    """Limits at the edges of the head 2, 3, 5 and of the wheel's first
+    turn (7 to 31): a complete result is the literal factorization; any
+    other lists primes of n, each at most to its exponent in n, and leaves
+    a composite cofactor.  At step 2 a limit at or above isqrt(n) leaves
+    nothing unfactored."""
+    budget = Budget(trial_limit=limit, rho_rounds=200, rho_restarts=2)
+    for n, literal in LITERAL.items():
+        f = factor(n, budget, order)
+        assert math.prod(p**e for p, e in f.factors) * f.cofactor == n, (n, f)
+        assert all(is_probable_prime(p) and e <= literal.get(p, 0) for p, e in f.factors), (n, f)
+        assert dict(f.factors) == literal if f.complete else not is_probable_prime(f.cofactor), (n, f)
+        if order in (1, 2) and limit >= math.isqrt(n):
+            assert f.complete, (n, f)
+
+
+@given(st.integers(1, 10**30), st.integers(1, 10**12))
+def test_prime_to_keeps_exactly_the_primes_not_in_m(n, m):
+    r = modarith._prime_to(n, m)
+    assert n % r == 0 and math.gcd(r, m) == 1
+    stripped = n // r  # a divisor of m^k for k above every exponent in it
+    assert pow(m, stripped.bit_length(), stripped) == 0
+
+
 @given(st.integers(2, 10**5))
 @settings(max_examples=200)
 def test_factor_random_reassembly(n):
