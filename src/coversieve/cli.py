@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import dataset
 from .covering import auto_w, lcm_of_moduli, verify_naive, verify_partitioned
@@ -207,6 +206,8 @@ def cmd_shift(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    from dataclasses import replace
+
     if args.action == "export":
         if args.sierpinski is not None or args.riesel is not None:
             raise ValueError("--sierpinski and --riesel need verify-appendix")

@@ -9,16 +9,19 @@ File grammar (line oriented, '#' starts a comment):
 
 Parsing normalizes residues into [0, modulus); serialization writes the
 normalized canonical form, so parse/serialize round-trips are bit-exact.
+
+The embedded tables and the AppendixData type are built on first use, by
+appendix_data(), c0_system(), table2_rows() or a lookup of AppendixData,
+so importing this module loads neither the tables nor dataclasses.
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from dataclasses import dataclass
+from functools import cache
 from types import SimpleNamespace
 
-from . import _tables
 from .covering import (
     CoveringSystem,
     ResidueClass,
@@ -116,13 +119,30 @@ def load_primes_file(path) -> list[int]:
 # embedded appendix data
 
 
-@dataclass(frozen=True)
-class AppendixData:
-    cov_sier: LoadedCovering
-    cov_ries: LoadedCovering
-    L: dict[int, tuple[int, bool]]
-    M: dict[int, tuple[int, bool]]
-    table1: tuple[tuple[ResidueClass, int], ...]
+# AppendixData is built on first use, so that importing this module loads
+# neither dataclasses nor the tables.  It would be a record like
+# LoadedCovering, but the benchmark harness (perfbench/workloads.py) calls
+# dataclasses.replace on it; once that goes, so can this lazy build.
+@cache
+def _appendix_type() -> type:
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class AppendixData:
+        __qualname__ = "AppendixData"  # for the repr and pickling
+        cov_sier: LoadedCovering
+        cov_ries: LoadedCovering
+        L: dict[int, tuple[int, bool]]
+        M: dict[int, tuple[int, bool]]
+        table1: tuple[tuple[ResidueClass, int], ...]
+
+    return AppendixData
+
+
+def __getattr__(name: str):
+    if name == "AppendixData":
+        return _appendix_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _from_rows(rows) -> LoadedCovering:
@@ -132,7 +152,9 @@ def _from_rows(rows) -> LoadedCovering:
 
 
 def appendix_data() -> AppendixData:
-    data = AppendixData(
+    from . import _tables
+
+    data = _appendix_type()(
         cov_sier=_from_rows(_tables.SIERPINSKI),
         cov_ries=_from_rows(_tables.RIESEL),
         L={b: (c, star) for b, c, star in _tables.TABLE_L},
@@ -151,10 +173,14 @@ def appendix_data() -> AppendixData:
 
 
 def c0_system() -> CoveringSystem:
+    from . import _tables
+
     return CoveringSystem(tuple(ResidueClass(a, b) for a, b in _tables.C0))
 
 
 def table2_rows() -> tuple[tuple[int, ResidueClass], ...]:
+    from . import _tables
+
     return tuple((k, ResidueClass(a, b)) for k, a, b in _tables.TABLE2)
 
 

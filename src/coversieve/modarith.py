@@ -86,7 +86,7 @@ class FactorizationResult(namedtuple("FactorizationResult", "factors cofactor", 
     Invariant: prod(p**e) * cofactor == n for the input n.  Every listed
     prime passes is_probable_prime.  complete is true iff cofactor == 1.
     A cofactor > 1 is composite: it is a product of values that each
-    failed is_probable_prime.
+    failed is_probable_prime.  The cofactor is prime to every listed prime.
     """
 
     __slots__ = ()
@@ -380,7 +380,7 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
         counts[rest] = 1
     elif rest > 1:
         pending.append(rest)
-    cofactor = 1
+    unsplit = []
     while pending:
         m = pending.pop()
         if is_probable_prime(m):
@@ -388,11 +388,28 @@ def factor(n: int, budget: Budget = DEFAULT_BUDGET, order: int = 1) -> Factoriza
             continue
         d = _pm1(m, budget.rho_rounds // 8) or _brent_rho(m, rounds, budget.rho_restarts, step)
         if d is None:
-            cofactor *= m
+            unsplit.append(m)
             continue
         pending.append(d)
         pending.append(m // d)
-    return FactorizationResult(tuple(sorted(counts.items())), cofactor)
+    # A piece p-1 and rho leave unsplit can hold a prime listed from another
+    # piece, as 25 does when 125 splits as 5 * 25.  The listed primes are
+    # divided out and what is left is tested; a prime listed here sends the
+    # pieces kept so far back through the same pass.
+    kept = []
+    while unsplit:
+        piece = m = unsplit.pop()
+        for p in counts:
+            while m % p == 0:
+                m //= p
+                counts[p] += 1
+        if m < piece and is_probable_prime(m):
+            counts[m] = 1
+            unsplit += kept
+            kept = []
+        elif m > 1:
+            kept.append(m)
+    return FactorizationResult(tuple(sorted(counts.items())), math.prod(kept))
 
 
 def factor_whole(n: int, what: Callable[[], str]) -> FactorizationResult:

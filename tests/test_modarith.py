@@ -232,6 +232,16 @@ def test_factor_takes_a_remainder_up_to_the_limit_squared_as_prime(monkeypatch):
     assert tested[0] == 6
 
 
+def test_factor_leaves_a_cofactor_prime_to_every_listed_prime():
+    """Under a starved budget rho splits 125 as 5 * 25 and then fails on
+    25: the listed 5 is divided out of it, so nothing is left.  50 splits
+    as 2 * 25 with no 5 listed, so 25 stays the cofactor."""
+    budget = Budget(trial_limit=-3, rho_rounds=200, rho_restarts=2)
+    assert factor(125, budget) == FactorizationResult(((5, 3),))
+    assert factor(4375, budget) == FactorizationResult(((5, 4), (7, 1)))
+    assert factor(50, budget) == FactorizationResult(((2, 1),), 25)
+
+
 def literal_factorization(n):
     """{p: e} for n, by division by every d from 2 up."""
     out, d = {}, 2
@@ -251,14 +261,14 @@ LITERAL = {n: literal_factorization(n) for n in range(2, 2500)}
 def test_factor_agrees_with_the_literal_factorization(limit, order):
     """Limits at the edges of the head 2, 3, 5 and of the wheel's first
     turn (7 to 31): a complete result is the literal factorization; any
-    other lists primes of n, each at most to its exponent in n, and leaves
-    a composite cofactor.  At step 2 a limit at or above isqrt(n) leaves
-    nothing unfactored."""
+    other lists primes of n, each to its exponent in n, and leaves a
+    composite cofactor prime to them.  At step 2 a limit at or above
+    isqrt(n) leaves nothing unfactored."""
     budget = Budget(trial_limit=limit, rho_rounds=200, rho_restarts=2)
     for n, literal in LITERAL.items():
         f = factor(n, budget, order)
         assert math.prod(p**e for p, e in f.factors) * f.cofactor == n, (n, f)
-        assert all(is_probable_prime(p) and e <= literal.get(p, 0) for p, e in f.factors), (n, f)
+        assert all(is_probable_prime(p) and e == literal.get(p) for p, e in f.factors), (n, f)
         assert dict(f.factors) == literal if f.complete else not is_probable_prime(f.cofactor), (n, f)
         if order in (1, 2) and limit >= math.isqrt(n):
             assert f.complete, (n, f)

@@ -1,6 +1,7 @@
 """The result types are tuple-backed records: their reprs, defaults,
 immutability, hashing and the normalization of ResidueClass are a contract,
-and a bare `import coversieve` loads neither dataclasses nor inspect."""
+and importing the package, its CLI or its dataset module loads neither
+dataclasses nor inspect."""
 
 import dataclasses
 import subprocess
@@ -115,16 +116,34 @@ def test_appendix_data_is_the_one_dataclass():
     assert swapped.cov_sier == data.cov_ries and swapped.table1 == data.table1
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # measured against a bare interpreter, so a site hook that preloads
-    # modules does not count against the package
+STARTUP = {"dataclasses", "inspect", "ast", "coversieve._tables"}
+
+
+def _loaded_by(statements: str) -> list[str]:
+    """The modules of STARTUP that `statements` adds to sys.modules,
+    measured against a bare interpreter, so a site hook that preloads
+    modules does not count against the package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
-        "import coversieve\n"
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+        f"{statements}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    return sorted(STARTUP & set(out.stdout.split()))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # nor the embedded tables, which load on the first call that reads them
+    for module in ("coversieve", "coversieve.cli", "coversieve.dataset"):
+        assert _loaded_by(f"import {module}") == [], module
+    for call in ("appendix_data()", "c0_system()"):
+        assert "coversieve._tables" in _loaded_by(f"from coversieve import dataset; dataset.{call}")
+    from coversieve import dataset
+    from coversieve.dataset import AppendixData
+
+    assert dataset.AppendixData is AppendixData is type(appendix_data())
+    with pytest.raises(AttributeError, match="has no attribute 'Appendix'"):
+        dataset.Appendix
