@@ -51,8 +51,11 @@ def _emit(pairs: list[tuple[str, object]], fmt: str):
 def cmd_verify(args) -> int:
     if args.w is not None and args.method == "naive":
         raise ValueError("--w needs --method partitioned or both")
+    try:
+        w = "auto" if args.w in (None, "auto") else int(args.w)
+    except ValueError:
+        raise ValueError(f"--w must be auto or an integer, got {args.w!r}") from None
     system = dataset.load_covering(args.file).system
-    w = "auto" if args.w in (None, "auto") else int(args.w)
     pairs = [
         ("file", args.file),
         ("classes", len(system.classes)),

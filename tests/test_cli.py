@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,8 @@ from coversieve.modarith import Budget, factor
 
 import sieve_data as sd
 from test_cyclotomic import STARVED, STARVED_432_COFACTOR
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +54,15 @@ def test_verify_c0_both(capsys, datadir):
 
 def test_verify_refuses_a_width_its_method_ignores(capsys, datadir):
     c0 = datadir / "c0.cov"
-    for w in ("0", "auto", "banana"):
-        code = main(["verify", str(c0), "--method", "naive", "--w", w])
+    needs = "error: --w needs --method partitioned or both\n"
+    for method, w, expected in (
+        ("naive", "0", needs), ("naive", "auto", needs), ("naive", "banana", needs),
+        ("naive", "780", needs),
+        ("both", "abc", "error: --w must be auto or an integer, got 'abc'\n"),
+    ):
+        code = main(["verify", str(c0), "--method", method, "--w", w])
         out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == "error: --w needs --method partitioned or both\n", w
+        assert code == 2 and out == "" and err == expected, w
     assert run(capsys, "verify", c0, "--method", "naive")[0] == 0
     code, out = run(capsys, "verify", c0, "--method", "both", "--w", 3, "--format", "kv")
     assert code == 0 and kv(out)["w"] == "3"
@@ -73,6 +80,12 @@ def test_verify_appendix_files(capsys, datadir):
     assert d["lcm"] == str(sd.APPENDIX_S_LCM)
     assert d["classes"] == "447"
     assert d["w"] == "780"
+    # the paper's widths, given explicitly
+    for name, lcm, classes, w in (("sierpinski", sd.APPENDIX_S_LCM, 447, 780),
+                                  ("riesel", sd.APPENDIX_R_LCM, 459, 660)):
+        f = datadir / f"{name}.cov"
+        assert run(capsys, "verify", f, "--w", w, "--format", "kv") == (
+            0, f"file={f}\nclasses={classes}\nlcm={lcm}\nw={w}\nmethod=partitioned\ncovered=1\n")
 
 
 def test_verify_uncovered_exit_code(capsys, tmp_path):
@@ -165,6 +178,9 @@ def test_order_command(capsys):
     assert code == 0 and kv(out)["order"] == "4"
     code, out = run(capsys, "order", "--base", 2, "--mod", 257, "--format", "kv")
     assert code == 0 and kv(out)["order"] == "16"
+    # the order descent from p - 1 = 1
+    assert run(capsys, "order", "--base", 3, "--mod", 2, "--format", "kv") == (
+        0, "base=3\nmod=2\norder=1\n")
     assert main(["order", "--base", "2", "--mod", "4"]) == 2
     assert capsys.readouterr().err == "error: 4 is not prime\n"
 
@@ -179,6 +195,20 @@ def test_cyclo_command(capsys):
     code, out = run(capsys, "cyclo", "--b", 48, "--eval", 2, "--factor", "--format", "kv")
     assert kv(out)["primes"] == "97*673"
     assert run(capsys, "cyclo", "--b", 12, "--format", "kv") == (0, "b=12\ndegree=4\n")
+    # primes of order b: odd b with 7 stripped, the Aurifeuillian halves,
+    # base 10; the degree from the Möbius divisors; the closed forms at ±1
+    for argv, expected in (
+        (["--b", 21, "--eval", 2, "--factor"], "b=21\nvalue=2359\nprimes=337\ncomplete=1\n"),
+        (["--b", 432, "--eval", 2, "--factor"],
+         "b=432\nvalue=22300745198530623141530995906165491860766721\n"
+         "primes=209924353*4261383649*24929060818265360451708193\ncomplete=1\n"),
+        (["--b", 12, "--eval", 10, "--factor"], "b=12\nvalue=9901\nprimes=9901\ncomplete=1\n"),
+        (["--b", 18018], "b=18018\ndegree=4320\n"),
+        (["--b", 8, "--eval", -1], "b=8\nvalue=2\n"),
+        (["--b", 27, "--eval", 1], "b=27\nvalue=3\n"),
+        (["--b", 1, "--eval", -1], "b=1\nvalue=-2\n"),
+    ):
+        assert run(capsys, "cyclo", *argv, "--format", "kv") == (0, expected), argv
 
 
 def test_cyclo_prints_what_it_leaves_unfactored(capsys, monkeypatch):
@@ -261,6 +291,12 @@ def test_check_beyond_a_whole_period_scan(capsys, tmp_path):
                     "--format", "kv")
     assert code == 1
     assert kv(out)["witness"] == "6" and kv(out)["period"] == str(sd.SELFRIDGE_MERSENNE_PERIOD)
+    # 2^521 - 1 has order 521 and a p - 1 that does not factor; the walk gives its order
+    g = tmp_path / "m521.txt"
+    g.write_text("".join(f"{p}\n" for p in sd.SELFRIDGE_PRIMES + [2**521 - 1]))
+    k = sd.SELFRIDGE_K + math.prod(sd.SELFRIDGE_PRIMES) * 2**522
+    assert run(capsys, "check", "--kind", "sierpinski", "--k", k, "--primes", g, "--format", "kv") == (
+        0, f"kind=sierpinski\nk={k}\nok=1\nperiod=18756\n")
 
 
 def test_failing_checks_print_their_kv_bytes(capsys, tmp_path):
@@ -595,7 +631,7 @@ def test_build_and_combine_commands(capsys, tmp_path):
         capsys, "combine", "--part", f"sierpinski:{d1}", "--part", f"riesel:{d2}",
         "--diagnostic", "--format", "kv",
     )
-    assert code == 0 and kv(out)["B"] == "9"
+    assert (code, out) == (0, "ok=1\nA=10\nB=9\n")
 
     d3 = tmp_path / "d3.cov"
     d3.write_text("0 4 p=5\n")
@@ -603,7 +639,7 @@ def test_build_and_combine_commands(capsys, tmp_path):
         capsys, "combine", "--part", f"sierpinski:{d1}", "--part", f"riesel:{d3}",
         "--diagnostic", "--format", "kv",
     )
-    assert code == 1 and kv(out)["conflict_prime"] == "5"
+    assert (code, out) == (1, "ok=0\nconflict_prime=5\n")
 
     # unresolved i= tags cannot be built
     d4 = tmp_path / "d4.cov"
@@ -617,6 +653,18 @@ def test_shift_command(capsys):
     d = kv(out)
     assert d["A0"] == str(10**42 * 130)
     assert d["B0"] == str(10**39 - 10**3 + 1)
+
+
+@pytest.mark.parametrize("name, argv", (
+    ("check-selfridge", ["check", "--kind", "sierpinski", "--k", 78557,
+                         "--primes", EXPECTED / "selfridge.primes"]),
+    ("cyclo-64", ["cyclo", "--b", 64, "--eval", 2, "--factor"]),
+    ("shift-130", ["shift", "--A", 130, "--B", 1, "--base", 10]),
+    ("verify-appendix", ["dataset", "verify-appendix"]),
+))
+def test_output_matches_the_benchmark_expected_file(capsys, name, argv):
+    code, out = run(capsys, *argv, "--format", "kv")
+    assert (code, out.encode()) == (0, (EXPECTED / f"{name}.kv").read_bytes())
 
 
 def test_outputs_beyond_the_int_to_str_digit_limit(capsys):

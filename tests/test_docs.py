@@ -14,8 +14,7 @@ import pytest
 
 from coversieve import cli
 
-ROOT = Path(__file__).resolve().parent.parent
-README = ROOT / "README.md"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _bounds_table() -> list[tuple[str, str]]:
@@ -35,7 +34,7 @@ def _bounds_table() -> list[tuple[str, str]]:
 def _module_bounds() -> set[str]:
     """module.NAME for each module-level assignment to a *_CAP or *_BITS name."""
     names = set()
-    for path in (ROOT / "src" / "coversieve").glob("*.py"):
+    for path in Path(cli.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             for target in getattr(node, "targets", [getattr(node, "target", None)]):
                 name = getattr(target, "id", "")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import coversieve
 from coversieve import (
     BrierCheck,
     Budget,
@@ -122,8 +123,9 @@ STARTUP = {"dataclasses", "inspect", "ast", "coversieve._tables"}
 def _loaded_by(statements: str) -> list[str]:
     """The modules of STARTUP that `statements` adds to sys.modules,
     measured against a bare interpreter, so a site hook that preloads
-    modules does not count against the package."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    modules does not count against the package.  The child imports the
+    package under test: the one this process imported, installed or not."""
+    src = str(Path(coversieve.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
