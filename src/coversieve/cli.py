@@ -55,6 +55,8 @@ def cmd_verify(args) -> int:
         w = "auto" if args.w in (None, "auto") else int(args.w)
     except ValueError:
         raise ValueError(f"--w must be auto or an integer, got {args.w!r}") from None
+    if w != "auto" and w < 1:
+        raise ValueError(f"--w must be >= 1, got {w}")
     system = dataset.load_covering(args.file).system
     pairs = [
         ("file", args.file),

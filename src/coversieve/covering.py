@@ -29,10 +29,13 @@ split by m hands a group whose modulus in the node is prime to m to each
 child as it is, buckets any other once by residue, and builds no child
 that a class contains whole; only a scanned node rewrites its classes,
 and a node above the least gap found so far is dropped.
-The one scan kernel, shared by both verifiers, marks classes in strides:
-a scan of at most _TILE residues, every root prefix included, into one
-bytearray, a longer one into chunked bytearrays over copies of a pattern
-of the smallest moduli; witnesses come out identical to the literal scan.
+The one scan kernel, shared by both verifiers, starts a mask of ones,
+zero-fills the stride of each class and takes the first 1: a scan of at
+most _TILE residues, every root prefix included, into one bytearray, a
+longer one into chunked bytearrays over copies of a pattern of the
+smallest moduli, grown one lcm step at a time so that a class of modulus
+b marks P/b residues at the lcm P where it joins; witnesses come out
+identical to the literal scan.
 
 Every size bound is a module constant, the same for every call: NAIVE_CAP
 on the lcm verify_naive scans and WORK_CAP on the work of one
@@ -129,43 +132,48 @@ def _offset_form(system: CoveringSystem) -> tuple[Sequence[tuple[int, int]], int
 def _first_uncovered(classes: list[tuple[int, int]], count: int) -> int | None:
     """Least t in [0, count) lying in no class (a, b), 0 <= a < b.
 
-    A scan of at most _TILE residues marks each class with a < count
-    straight into one bytearray.  Above that, the classes with the smallest
-    moduli, while their lcm P stays within _TILE, are marked once into a
-    P-byte pattern; each chunk (a multiple of P long) starts as copies of
-    it, and only the other classes are marked in strides."""
+    The mask starts all ones and a class is marked by assigning a
+    zero-filled bytearray to its stride; the answer is the first 1.  A scan
+    of at most _TILE residues marks each class with a < count straight into
+    one mask.  Above that, the classes are sorted by modulus and a pattern
+    grows from period 1: while the lcm P of its period and the next modulus
+    b stays within _TILE, the pattern is first repeated up to P, then the
+    class marks its P/b residues in it.  Each chunk (a multiple of the
+    final P long) starts as copies of the pattern, and only the other
+    classes are marked in strides."""
     if count <= _TILE:
-        mask = bytearray(count)
+        mask = bytearray(b"\x01") * count
         for a, b in classes:
             if a < count:
-                mask[a::b] = b"\x01" * ((count - 1 - a) // b + 1)
-        gap = mask.find(0)
+                mask[a::b] = bytearray((count - 1 - a) // b + 1)
+        gap = mask.find(1)
         return None if gap < 0 else gap
     classes = sorted(classes, key=lambda c: c[1])
-    period, tiled, bound = 1, 0, min(_TILE, _CHUNK)
-    for _, b in classes:
-        if (lcm := math.lcm(period, b)) > bound:
+    pattern, tiled, bound = bytearray(b"\x01"), 0, min(_TILE, _CHUNK)
+    for a, b in classes:
+        if (period := math.lcm(len(pattern), b)) > bound:
             break
-        period, tiled = lcm, tiled + 1
-    pattern = _mark(bytearray(period), 0, classes[:tiled])
-    classes = classes[tiled:]
+        pattern *= period // len(pattern)
+        pattern[a::b] = bytearray(period // b)
+        tiled += 1
+    period, classes = len(pattern), classes[tiled:]
     step = _CHUNK // period * period
     for lo in range(0, count, step):
         size = min(step, count - lo)
         mask = _mark(pattern * -(-size // period), lo, classes)
-        gap = mask.find(0, 0, size)
+        gap = mask.find(1, 0, size)
         if gap >= 0:
             return lo + gap
     return None
 
 
 def _mark(mask: bytearray, lo: int, classes) -> bytearray:
-    """Set mask[i] for every lo + i in a class; returns mask."""
+    """Zero mask[i] for every lo + i in a class; returns mask."""
     size = len(mask)
     for a, b in classes:
         start = (a - lo) % b
         if start < size:
-            mask[start::b] = b"\x01" * ((size - start + b - 1) // b)
+            mask[start::b] = bytearray((size - start + b - 1) // b)
     return mask
 
 

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .modarith import (
-    Budget, CapacityError, DEFAULT_BUDGET, _prime_to, factor, factor_whole, verify_order,
+    Budget, CapacityError, DEFAULT_BUDGET, _has_order, _prime_to, factor, factor_whole,
 )
 
 INDEX_CAP = 20000  # largest index b whose Φ_b is evaluated
@@ -67,7 +67,11 @@ def cyclotomic_value(b: int, x0: int) -> int:
     Elsewhere the Möbius product prod (x0**(b/d) - 1)**μ(d) over the
     squarefree d | b, as a quotient of big integers whose numerator, of
     more than EVAL_BITS bits, is refused before any power is taken."""
-    primes = _index_primes(b)
+    return _value(b, x0, _index_primes(b))
+
+
+def _value(b: int, x0: int, primes: list[int]) -> int:
+    # cyclotomic_value, given the primes of b
     if abs(x0) <= 1:
         if x0 == -1 and b % 2 == 0:
             b, x0 = b // 2, 1
@@ -125,21 +129,22 @@ def primes_of_order(
     2 and b ≡ 4 (mod 8) as the two halves of its Aurifeuillian
     factorization, one factor() call each, and otherwise whole.
     unfactored_cofactor is the product of what each call leaves.
-    Every listed prime has its order verified by verify_order, which
-    factors b again for each, after cyclotomic_value's factoring of b.
+    Every listed prime has its order verified as verify_order does, with
+    the primes of b that the value was evaluated with: b is factored once.
     """
     if base not in (2, 10):
         raise ValueError(f"base must be 2 or 10, got {base}")
     if b < 2:
         raise ValueError(f"order must be >= 2, got {b}")
-    parts = _aurifeuillian_parts(b, base, _prime_to(cyclotomic_value(b, base), b))
+    index_primes = _index_primes(b)
+    parts = _aurifeuillian_parts(b, base, _prime_to(_value(b, base, index_primes), b))
     found = [factor(part, budget, order=b) for part in parts if part > 1]
     value = math.prod(f.cofactor for f in found)
     primes = []
     for p in sorted(p for f in found for p in f.primes()):
         if p in exclude:
             continue
-        if not verify_order(base, p, b):
+        if not _has_order(base, p, b, lambda: index_primes):
             raise ArithmeticError(
                 f"divisor {p} of cyclotomic value fails the order-{b} check"
             )

@@ -426,15 +426,6 @@ def factor_whole(n: int, what: Callable[[], str]) -> FactorizationResult:
     return f
 
 
-def _least_exponent(g: int, p: int, n: int, what: Callable[[], str]) -> int:
-    # the least e dividing n with g**e ≡ 1 (mod p), given g**n ≡ 1 (mod p)
-    e = n
-    for q in factor_whole(n, what).primes():
-        while e % q == 0 and pow(g, e // q, p) == 1:
-            e //= q
-    return e
-
-
 def multiplicative_order(g: int, p: int) -> int:
     """Least e >= 1 with g**e ≡ 1 (mod p), for prime p.
 
@@ -445,7 +436,11 @@ def multiplicative_order(g: int, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if math.gcd(g, p) != 1:
         raise ValueError(f"gcd({g}, {p}) != 1; order undefined")
-    return _least_exponent(g, p, p - 1, lambda: f"p - 1 = {_shown(p - 1)}")
+    e = p - 1  # divided by each prime q of p - 1 while g**(e/q) ≡ 1 (mod p)
+    for q in factor_whole(p - 1, lambda: f"p - 1 = {_shown(p - 1)}").primes():
+        while e % q == 0 and pow(g, e // q, p) == 1:
+            e //= q
+    return e
 
 
 def verify_order(g: int, p: int, order: int) -> bool:
@@ -454,13 +449,21 @@ def verify_order(g: int, p: int, order: int) -> bool:
     Cheaper than multiplicative_order for huge p: only `order` (not p-1)
     needs factoring, since it suffices that g**order ≡ 1 and no proper
     divisor of order gives 1.  order is factored by factor_whole, as p-1
-    is by multiplicative_order.
+    is by multiplicative_order, and only once g**order ≡ 1 (mod p).
     """
-    if order < 1 or math.gcd(g, p) != 1:
+    return _has_order(
+        g, p, order, lambda: factor_whole(order, lambda: f"order {_shown(order)}").primes())
+
+
+def _has_order(g: int, p: int, order: int, primes: Callable[[], list[int]]) -> bool:
+    # verify_order with the primes of order from primes(), so that a caller
+    # checking many p against one order factors it once
+    if order < 1 or math.gcd(g, p) != 1 or pow(g, order, p) != 1:
         return False
-    if pow(g, order, p) != 1:
-        return False
-    return _least_exponent(g, p, order, lambda: f"order {_shown(order)}") == order
+    for q in primes():
+        if pow(g, order // q, p) == 1:
+            return False
+    return True
 
 
 def _merge(c1: ResidueClass, c2: ResidueClass, g: int) -> ResidueClass:

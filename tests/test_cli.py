@@ -59,10 +59,14 @@ def test_verify_refuses_a_width_its_method_ignores(capsys, datadir):
         ("naive", "0", needs), ("naive", "auto", needs), ("naive", "banana", needs),
         ("naive", "780", needs),
         ("both", "abc", "error: --w must be auto or an integer, got 'abc'\n"),
+        ("partitioned", "0", "error: --w must be >= 1, got 0\n"),
+        ("both", "-5", "error: --w must be >= 1, got -5\n"),
     ):
-        code = main(["verify", str(c0), "--method", method, "--w", w])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == "" and err == expected, w
+        # the width is checked before the file is read
+        for path in (c0, c0.parent / "missing.cov"):
+            code = main(["verify", str(path), "--method", method, "--w", w])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "" and err == expected, (path, w)
     assert run(capsys, "verify", c0, "--method", "naive")[0] == 0
     code, out = run(capsys, "verify", c0, "--method", "both", "--w", 3, "--format", "kv")
     assert code == 0 and kv(out)["w"] == "3"

@@ -694,6 +694,36 @@ def test_first_uncovered_matches_literal_scan(monkeypatch, limits):
         assert covering._first_uncovered([], count) == 0
 
 
+@pytest.mark.parametrize("tile", [1, 2, 3, 5, 6, 11, 12, 59, 60, 61, 119, 120, 121, 840])
+def test_growing_tile_matches_literal_scan(monkeypatch, tile):
+    # sorted, the moduli 2, 3, 4, 5, 6, 7, 8 raise the tile's lcm to 2, 6,
+    # 12, 60, 420 and 840, and 6 keeps it; the tile bound falls before, on
+    # and after a step, and counts are not multiples of the tile's period
+    monkeypatch.setattr(covering, "_TILE", tile)
+    monkeypatch.setattr(covering, "_CHUNK", 1 << 11)
+    counts = (tile + 1, tile + 7, 61, 421, 839, 841, 2047, 2049, 3001)
+    # the covering {0 (2), 0 (3), 1 (4), 5 (6), 7 (12)} with one class
+    # dropped leaves one gap in each 12, or none
+    cover = [(0, 2), (0, 3), (1, 4), (5, 6), (7, 12)]
+    rng = random.Random(tile)
+    cases = [cover, cover + [(4, 5), (1, 7), (3, 8)]]
+    cases += [cover[:i] + cover[i + 1:] for i in range(len(cover))]
+    for _ in range(12):  # near-covers over moduli whose lcm rises in steps
+        classes = [(a, b) for b in (2, 3, 4, 5, 6, 7, 8) for a in rng.sample(range(b), b - 1)]
+        cases.append(rng.sample(classes, len(classes) - rng.randint(1, 4)))
+    # every modulus above the tile bound: the tile stays one byte, and only
+    # members 5 (mod tile + 1) that miss 5 (mod tile + 2) are left
+    n = tile + 1
+    cases.append([(a, n) for a in range(n) if a != 5 % n] + [(5 % (n + 1), n + 1)])
+    # duplicate classes, and a modulus-1 class that covers all
+    cases += [[(1, 4), (1, 4), (0, 2), (0, 2)], [(1, 2), (3, 5), (0, 1), (3, 5)]]
+    for classes in cases:
+        for count in counts:
+            if count > tile:
+                want = _literal_gap(classes, count)
+                assert covering._first_uncovered(classes, count) == want, (classes, count)
+
+
 def _spy_root(monkeypatch):
     """Records every charge, grouping, split and scan of the verifiers."""
     calls = []

@@ -270,8 +270,11 @@ def test_primes_of_order_golden(args, expected):
 @pytest.mark.parametrize("b", (12, 432, 1024))
 def test_primes_of_order_factors_its_index_once(b, monkeypatch):
     """b is factored once, for the Möbius divisors of Φ_b(2); the largest
-    prime of b is stripped from the value without a second factorization."""
-    real = cyclotomic.factor_whole
+    prime of b is stripped from the value, and the order of every listed
+    prime checked, without a second factorization.  Past the starved
+    budget, b = 12 lists 13, 432 its three Table 1 primes and 1024 the
+    prime 2424833."""
+    real = modarith.factor_whole
     calls = []
 
     def counting(n, what):
@@ -279,8 +282,12 @@ def test_primes_of_order_factors_its_index_once(b, monkeypatch):
         return real(n, what)
 
     monkeypatch.setattr(cyclotomic, "factor_whole", counting)
-    primes_of_order(b, 2, STARVED)
-    assert calls.count(b) == 1
+    monkeypatch.setattr(modarith, "factor_whole", counting)
+    for budget in (STARVED, Budget() if b == 432 else CYCLO_BUDGET):
+        calls.clear()
+        primes = primes_of_order(b, 2, budget).primes
+        assert calls.count(b) == 1
+    assert len(primes) == (3 if b == 432 else 1)
 
 
 def test_order_check_factors_b_at_the_default_budget():
