@@ -49,14 +49,6 @@ def _emit(pairs: list[tuple[str, object]], fmt: str):
 
 
 def cmd_verify(args) -> int:
-    if args.w is not None and args.method == "naive":
-        raise ValueError("--w needs --method partitioned or both")
-    try:
-        w = "auto" if args.w in (None, "auto") else int(args.w)
-    except ValueError:
-        raise ValueError(f"--w must be auto or an integer, got {args.w!r}") from None
-    if w != "auto" and w < 1:
-        raise ValueError(f"--w must be >= 1, got {w}")
     system = dataset.load_covering(args.file).system
     pairs = [
         ("file", args.file),
@@ -67,8 +59,8 @@ def cmd_verify(args) -> int:
     if args.method in ("naive", "both"):
         verdicts["naive"] = verify_naive(system)
     if args.method in ("partitioned", "both"):
-        pairs.append(("w", auto_w(system) if w == "auto" else w))
-        verdicts["partitioned"] = verify_partitioned(system, w=w)
+        pairs.append(("w", auto_w(system)))
+        verdicts["partitioned"] = verify_partitioned(system)
     if args.method == "both" and verdicts["naive"] != verdicts["partitioned"]:
         pairs.append(("error", "naive and partitioned verdicts disagree"))
         _emit(pairs, args.format)
@@ -256,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a covering file")
     p.add_argument("file")
     p.add_argument("--method", choices=("naive", "partitioned", "both"), default="partitioned")
-    p.add_argument("--w", help="slice width: auto (the default) or an integer")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -315,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own: 2 for a usage error, 0 for --help
+        return exc.code
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

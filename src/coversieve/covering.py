@@ -20,10 +20,8 @@ that every node follows one rule: a node that fits one _CHUNK, or whose
 scan costs fewer work units than its split, is scanned, and any other
 node splits on the prime q whose classes cover the most of it: the
 largest sum of period/b over its classes with q | b, the classes that
-the split sends to one child each.  The moduli are factored only when a
-node longer than one _CHUNK needs their primes.  Only an integer w
-changes the root: it splits into the slices mod gcd(w, period) when that
-gcd is above 1; w="auto" is the tree alone, as w=1 is.
+the split sends to one child each.  The moduli are factored only when
+the root is longer than one _CHUNK.
 A node keeps its classes as the root has them, grouped by modulus: a
 split by m hands a group whose modulus in the node is prime to m to each
 child as it is, buckets any other once by residue, and builds no child
@@ -73,9 +71,9 @@ class CoveringSystem(namedtuple("CoveringSystem", "classes target")):
     __slots__ = ()
 
     def __new__(cls, classes, target: ResidueClass = ALL_INTEGERS):
+        classes = tuple(classes)  # an iterator is empty only once it is read
         if not classes:
             raise ValueError("a covering system needs at least one class")
-        classes = tuple(classes)
         if target != ALL_INTEGERS:
             for c in classes:
                 g = math.gcd(c.b, target.b)
@@ -207,7 +205,8 @@ def auto_w(system: CoveringSystem) -> int:
     """The paper's verification width 4*3*5*q, with q the largest prime
     dividing the lcm of the moduli (taken from the factored moduli, never by
     factoring the lcm itself).  Target-restricted systems use their reduced
-    moduli.  It is printed, not split by: w="auto" never calls it."""
+    moduli.  It is the paper's width, printed by coversieve verify; no
+    verifier splits by it."""
     return 4 * 3 * 5 * max(_primes(_offset_form(system)[0]), default=1)
 
 
@@ -243,7 +242,7 @@ class _Work:
             )
 
 
-def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | None:
+def _least_gap(classes: list[tuple[int, int]], work: _Work) -> int | None:
     """Least y >= 0 lying in none of the classes, or None if there is none.
 
     A root of period P above _TILE first scans its first _prefix(P)
@@ -254,19 +253,18 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
     The root's moduli and period are found once, before any stack is
     built, and a root that holds a modulus-1 class (covered) or fits one
     _CHUNK (one scan, after its prefix) is answered there, charged as the
-    loop would charge it: its entries, then its residues.  Past that a
-    node y = u (mod step) holds groups (b, b', residues), the root's built
-    once it picks a prime or splits: the a of each class (a, b) that meets
-    the node, b' = b/gcd(b, step); its entries are the residues, its period
-    the lcm of the b'.  A node longer than one _CHUNK picks its split m:
-    the root gcd(w, period), every later node, or the root when that gcd is
-    1, the least prime q with the largest sum of period/b' * len(residues)
-    over its groups with q | b'.  It is scanned if it fits one _CHUNK or
-    its scan costs fewer units than m children (a chunk is 16), so no split
-    is dearer than the scan it replaces; else it splits, charged before any
-    child is built.  A scanned node rewrites its classes as
-    ((a - u)/h * (step/h)^-1 mod b', b'), h = b/b', each inverse taken once
-    per (step, b).  Children are built one at a time from iterators on an
+    loop would charge it: its entries, then its residues.  Past that the
+    moduli are factored and the root grouped, once.  A node y = u (mod
+    step) holds groups (b, b', residues): the a of each class (a, b) that
+    meets the node, b' = b/gcd(b, step); its entries are the residues, its
+    period the lcm of the b'.  A node longer than one _CHUNK picks its
+    split m, the least prime q with the largest sum of
+    period/b' * len(residues) over its groups with q | b'.  It is scanned
+    if it fits one _CHUNK or its scan costs fewer units than m children (a
+    chunk is 16), so no split is dearer than the scan it replaces; else it
+    splits, charged before any child is built.  A scanned node rewrites its
+    classes as ((a - u)/h * (step/h)^-1 mod b', b'), h = b/b', each inverse
+    taken once per (step, b).  Children are built one at a time from iterators on an
     explicit stack, so neither a deep tree nor a large split costs
     recursion, and memory holds one window of children per level.  A
     child's least member u grows with s, so a level is dropped at the first
@@ -285,9 +283,9 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
     if period <= _CHUNK:  # a root within one chunk is one scan
         work.charge(residues=period)
         return _first_uncovered(classes, period)
-    best, primes = math.inf, None  # primes: the root's, factored on the first pick
+    best, primes = math.inf, _primes(classes)
     inverse = cache(lambda step, b: (h := math.gcd(b, step), pow(step // h, -1, b // h)))
-    stack = [iter([(None, 0, 1)])]  # the root is grouped once it picks a prime or splits
+    stack = [iter([(_grouped(classes), 0, 1)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -300,23 +298,18 @@ def _least_gap(classes: list[tuple[int, int]], w: int, work: _Work) -> int | Non
                 stack.pop()  # neither this child nor a later one is below best
                 continue
             period = math.lcm(*{bp for _, bp, _ in groups})
-        if period > _CHUNK:
-            m, w = math.gcd(w, period), 1  # only the first split is by w
-            if m == 1:  # the prime whose classes cover the most of the node
-                groups, primes = groups or _grouped(classes), primes or _primes(classes)
-                m = max(primes, key=lambda q: sum(
-                    period // bp * len(rs) for _, bp, rs in groups if bp % q == 0))
+        if period > _CHUNK:  # the prime whose classes cover the most of the node
+            m = max(primes, key=lambda q: sum(
+                period // bp * len(rs) for _, bp, rs in groups if bp % q == 0))
         if period <= _CHUNK or period < m * (_CHUNK >> 4):  # a chunk is 16 units
             work.charge(residues=period)
-            scan = classes if step == 1 else [  # the root's classes are in its own coordinate
-                ((a - u) // h * inv % bp, bp) for b, bp, rs in groups
-                for h, inv in [inverse(step, b)] for a in rs]
-            gap = _first_uncovered(scan, period)
+            gap = _first_uncovered([((a - u) // h * inv % bp, bp) for b, bp, rs in groups
+                                    for h, inv in [inverse(step, b)] for a in rs], period)
             if gap is not None:
                 best = min(best, u + step * gap)
             continue
         work.charge(nodes=m)
-        stack.append(_children(groups or _grouped(classes), u, step, m))
+        stack.append(_children(groups, u, step, m))
     return None if best == math.inf else best
 
 
@@ -365,21 +358,21 @@ def _children(groups: list[tuple[int, int, list[int]]], u: int, step: int, m: in
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:
     """Partitioned verification: the least uncovered member of the target
-    by the residue tree (_least_gap).  At w="auto", as at w=1, every split
-    is on a prime; an integer w makes the root, if it splits, split first
-    into the slices u (mod gcd(w, lcm)), as in the paper.  Slices u and
-    u + gcd(w, lcm) meet the same classes, so any w gives the same verdict
-    and least witness as verify_naive.  More than WORK_CAP units of work,
-    the slices included, is refused with CapacityError.
+    by the residue tree (_least_gap), the same verdict and least witness as
+    verify_naive.  More than WORK_CAP units of work is refused with
+    CapacityError.
+
+    w is checked ("auto" or an integer >= 1) and has no other effect: the
+    verdict, the witness and the work are those of "auto" at every w.  It
+    stays only while the benchmark's small-checks workload passes it
+    (ROADMAP item 3).
     """
-    if w == "auto":
-        w = 1
-    elif isinstance(w, str):
+    if isinstance(w, str) and w != "auto":
         raise ValueError(f"w must be an integer or 'auto', got {w!r}")
-    elif w < 1:
+    if not isinstance(w, str) and w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     classes, M, t = _offset_form(system)
-    gap = _least_gap(classes, w, _Work())
+    gap = _least_gap(classes, _Work())
     if gap is None:
         return Verdict(True)
     return Verdict(False, t + M * gap)

@@ -221,7 +221,7 @@ def _period_check(base: int, cases, failure) -> CheckResult:
                 a, o = 0, 1
             classes.append((a, o))
             cert.append((label, a, o, p))
-        gap = _least_gap(classes, 1, work)
+        gap = _least_gap(classes, work)
         if gap is not None:
             witness, reason = failure(label, gap)
             return CheckResult(False, witness, periods[-1], tuple(cert), reason)

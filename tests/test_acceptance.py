@@ -166,12 +166,11 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(1000):
         s = _random_bounded_system(rng)
         vn = verify_naive(s)
-        for w in ("auto", 2, 6, 30):
-            vp = verify_partitioned(s, w=w)
-            if vp.covered != vn.covered:
-                disagreements += 1
-            if not vp.covered and any(c.contains(vp.witness) for c in s.classes):
-                disagreements += 1
+        vp = verify_partitioned(s)
+        if vp.covered != vn.covered:
+            disagreements += 1
+        if not vp.covered and any(c.contains(vp.witness) for c in s.classes):
+            disagreements += 1
 
     supply = {b: list(primes_of_order(b, 2).primes) for b in set(SUPPLY_MODULI)}
     roundtrip_failures = 0

@@ -52,43 +52,34 @@ def test_verify_c0_both(capsys, datadir):
     assert d["covered"] == "1" and d["lcm"] == "9" and d["classes"] == "5"
 
 
-def test_verify_refuses_a_width_its_method_ignores(capsys, datadir):
+def test_verify_has_no_width_flag(capsys, datadir):
+    # every split is on a prime, so a slice width is an unknown argument,
+    # refused by argparse before the file is read
     c0 = datadir / "c0.cov"
-    needs = "error: --w needs --method partitioned or both\n"
-    for method, w, expected in (
-        ("naive", "0", needs), ("naive", "auto", needs), ("naive", "banana", needs),
-        ("naive", "780", needs),
-        ("both", "abc", "error: --w must be auto or an integer, got 'abc'\n"),
-        ("partitioned", "0", "error: --w must be >= 1, got 0\n"),
-        ("both", "-5", "error: --w must be >= 1, got -5\n"),
-    ):
-        # the width is checked before the file is read
+    for method in ("naive", "partitioned", "both"):
         for path in (c0, c0.parent / "missing.cov"):
-            code = main(["verify", str(path), "--method", method, "--w", w])
+            code = main(["verify", str(path), "--method", method, "--w", "780"])
             out, err = capsys.readouterr()
-            assert code == 2 and out == "" and err == expected, (path, w)
+            assert code == 2 and out == ""
+            assert err.endswith("coversieve: error: unrecognized arguments: --w 780\n"), err
     assert run(capsys, "verify", c0, "--method", "naive")[0] == 0
-    code, out = run(capsys, "verify", c0, "--method", "both", "--w", 3, "--format", "kv")
-    assert code == 0 and kv(out)["w"] == "3"
-    assert run(capsys, "verify", c0, "--format", "kv") == run(
-        capsys, "verify", c0, "--w", "auto", "--format", "kv")
 
 
 def test_verify_appendix_files(capsys, datadir):
     code, out = run(
         capsys, "verify", datadir / "sierpinski.cov",
-        "--method", "partitioned", "--w", "auto", "--format", "kv",
+        "--method", "partitioned", "--format", "kv",
     )
     assert code == 0
     d = kv(out)
     assert d["lcm"] == str(sd.APPENDIX_S_LCM)
     assert d["classes"] == "447"
     assert d["w"] == "780"
-    # the paper's widths, given explicitly
+    # the paper's widths, printed
     for name, lcm, classes, w in (("sierpinski", sd.APPENDIX_S_LCM, 447, 780),
                                   ("riesel", sd.APPENDIX_R_LCM, 459, 660)):
         f = datadir / f"{name}.cov"
-        assert run(capsys, "verify", f, "--w", w, "--format", "kv") == (
+        assert run(capsys, "verify", f, "--format", "kv") == (
             0, f"file={f}\nclasses={classes}\nlcm={lcm}\nw={w}\nmethod=partitioned\ncovered=1\n")
 
 
@@ -109,17 +100,10 @@ def test_verify_both_compares_witnesses(capsys, monkeypatch, tmp_path):
     assert kv(out)["error"] == "naive and partitioned verdicts disagree"
 
 
-def test_verify_refuses_too_many_slices(capsys, datadir):
-    code = main(["verify", str(datadir / "sierpinski.cov"), "--w", str(sd.APPENDIX_S_LCM)])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_verify_deep_residue_tree(capsys, tmp_path):
     # 2^i (mod 2^(i+1)), i < 16, hold every y below 2^16 but 0, so the
-    # root's prefix scan finds no gap; the slice 0 (mod 8) of 0 (mod 2^3000)
-    # splits about 3000 levels deep
+    # root's prefix scan finds no gap; 0 (mod 2^3000) splits the tree
+    # about 3000 levels deep
     f = tmp_path / "deep.cov"
     f.write_text("".join(f"{1 << i} {2 << i}\n" for i in range(16)) + f"0 {2**3000}\n")
     code = main(["verify", str(f), "--format", "kv"])
@@ -129,11 +113,12 @@ def test_verify_deep_residue_tree(capsys, tmp_path):
 
 
 def test_verify_refuses_work_beyond_the_bound(capsys, datadir, monkeypatch):
-    monkeypatch.setattr(covering, "WORK_CAP", 1000)
-    code = main(["verify", str(datadir / "sierpinski.cov"), "--w", "7800"])
+    # the 447-class covering spends 180 units
+    monkeypatch.setattr(covering, "WORK_CAP", 100)
+    code = main(["verify", str(datadir / "sierpinski.cov")])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == "error: verification needs more than 1000 work units" \
+    assert err == "error: verification needs more than 100 work units" \
         " (one per tree node, per 64 class entries and per 2^16 residues scanned)\n"
 
 
@@ -170,11 +155,12 @@ def test_verify_target_flag(capsys, datadir):
     )
     assert code == 0 and kv(out)["covered"] == "1"
     # the target comes from the file's header alone
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", str(datadir / "table1.cov"), "--target", "2:8"])
-    assert exc.value.code == 2
+    assert main(["verify", str(datadir / "table1.cov"), "--target", "2:8"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments: --target 2:8" in err
+    # main returns argparse's own exit codes too: 0 after --help
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: coversieve verify")
 
 
 def test_order_command(capsys):
