@@ -52,9 +52,9 @@ def test_verify_c0_both(capsys, datadir):
     assert d["covered"] == "1" and d["lcm"] == "9" and d["classes"] == "5"
 
 
-def test_verify_has_no_width_flag(capsys, datadir):
-    # every split is on a prime, so a slice width is an unknown argument,
-    # refused by argparse before the file is read
+def test_verify_refuses_a_width_its_method_ignores(capsys, datadir):
+    # every split is on a prime, so every method ignores a slice width and
+    # --w is an unknown argument, refused by argparse before the file is read
     c0 = datadir / "c0.cov"
     for method in ("naive", "partitioned", "both"):
         for path in (c0, c0.parent / "missing.cov"):
@@ -98,6 +98,15 @@ def test_verify_both_compares_witnesses(capsys, monkeypatch, tmp_path):
     code, out = run(capsys, "verify", f, "--method", "both", "--format", "kv")
     assert code == 1
     assert kv(out)["error"] == "naive and partitioned verdicts disagree"
+
+
+def test_verify_refuses_too_many_slices(capsys, datadir):
+    # the lcm as a width once asked for one slice per residue; no width is
+    # taken now, so it is refused before the file is read or any work spent
+    code = main(["verify", str(datadir / "sierpinski.cov"), "--w", str(sd.APPENDIX_S_LCM)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: --w {sd.APPENDIX_S_LCM}\n"), err
 
 
 def test_verify_deep_residue_tree(capsys, tmp_path):

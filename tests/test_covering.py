@@ -69,6 +69,19 @@ def test_partitioned_examples():
         verify_partitioned(c0_system(), w=0)
 
 
+def test_partitioned_huge_w_is_reduced_to_the_lcm(monkeypatch):
+    # with one chunk of 4 residues and a tile of 8 the root, period 9, is
+    # split on its primes; a huge w is checked and then ignored, where a
+    # loop over range(w) would never return
+    monkeypatch.setattr(covering, "_CHUNK", 4)
+    monkeypatch.setattr(covering, "_TILE", 8)
+    w = 3 * 10**12
+    assert verify_partitioned(c0_system(), w=w) == verify_naive(c0_system())
+    uncovered = system([(0, 3), (1, 3), (2, 9), (5, 9)])
+    assert verify_partitioned(uncovered, w=w) == verify_naive(uncovered)
+    assert verify_partitioned(uncovered, w=w + 1).witness == 8
+
+
 def test_partitioned_empty_slice_witness(monkeypatch):
     # odd numbers and 0 (mod 4) covered: past the splits on 2 the node
     # 2 (mod 4) meets no class; with a one-residue tile the prefix scan sees
@@ -183,6 +196,12 @@ def test_verdict_invariant_on_uncovered():
     v = verify_partitioned(system([(0, 4), (1, 4), (2, 4)]))
     assert not v.covered
     assert v.witness % 4 == 3
+
+
+def test_w7_verifies_sierpinski():
+    # 7 once cut the root into slices 3.4e10 residues long; the width is
+    # ignored now and the residue tree verifies the covering as at auto
+    assert verify_partitioned(appendix_data().cov_sier.system, w=7) == Verdict(True)
 
 
 def test_work_bound(monkeypatch):
