@@ -150,6 +150,11 @@ def cmd_check(args) -> int:
 
 def _load_assignments(path) -> list[PrimeAssignment]:
     loaded = dataset.load_covering(path)
+    target = loaded.system.target
+    if target.b > 1:  # builders cover the integers; a target would be ignored
+        raise ValueError(
+            f"{path}: builders take no target header, got target {target.a} {target.b}"
+        )
     out = []
     for cls, tag in zip(loaded.system.classes, loaded.tags):
         if tag is None or tag[0] != "p":

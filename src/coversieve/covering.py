@@ -23,10 +23,11 @@ largest sum of period/b over its classes with q | b, the classes that
 the split sends to one child each.  The moduli are factored only when
 the root is longer than one _CHUNK.
 A node keeps its classes as the root has them, grouped by modulus: a
-split by m hands a group whose modulus in the node is prime to m to each
-child as it is, buckets any other once by residue, and builds no child
-that a class contains whole; only a scanned node rewrites its classes,
-and a node above the least gap found so far is dropped.
+split by q hands a group whose modulus in the node is prime to q to each
+child as it is, buckets any other once by residue, each bucket meeting
+one child, and builds no child that a class contains whole; only a
+scanned node rewrites its classes, and a node above the least gap found
+so far is dropped.
 The one scan kernel, shared by both verifiers, starts a mask of ones,
 zero-fills the stride of each class and takes the first 1: a scan of at
 most _TILE residues, every root prefix included, into one bytearray, a
@@ -57,7 +58,6 @@ NAIVE_CAP = 10 ** 8  # longest lcm verify_naive scans
 WORK_CAP = 10 ** 5  # most work units of one verify_partitioned call or period check (2-3.5 s)
 _CHUNK = 1 << 20
 _TILE = 1 << 16  # longest pattern of small moduli marked once and repeated
-_SLICES = 1 << 12  # children whose classes are collected at a time
 
 
 ALL_INTEGERS = ResidueClass(0, 1)
@@ -264,11 +264,11 @@ def _least_gap(classes: list[tuple[int, int]], work: _Work) -> int | None:
     chunk is 16), so no split is dearer than the scan it replaces; else it
     splits, charged before any child is built.  A scanned node rewrites its
     classes as ((a - u)/h * (step/h)^-1 mod b', b'), h = b/b', each inverse
-    taken once per (step, b).  Children are built one at a time from iterators on an
-    explicit stack, so neither a deep tree nor a large split costs
-    recursion, and memory holds one window of children per level.  A
-    child's least member u grows with s, so a level is dropped at the first
-    child whose u is not below the least gap found so far.
+    taken once per (step, b).  Children are built one at a time from
+    iterators on an explicit stack, so neither a deep tree nor a large
+    split costs recursion, and memory holds one child per level.  A child's
+    least member u grows with s, so a level is dropped at the first child
+    whose u is not below the least gap found so far.
     """
     work.charge(entries=len(classes))
     moduli = {b for _, b in classes}
@@ -321,39 +321,35 @@ def _grouped(classes: list[tuple[int, int]]) -> list[tuple[int, int, list[int]]]
     return [(b, b, rs) for b, rs in residues.items()]
 
 
-def _children(groups: list[tuple[int, int, list[int]]], u: int, step: int, m: int):
-    """The children (groups, u + step*s, step*m), s in [0, m), of the node
-    (groups, u, step) that no class contains whole (see _least_gap).
+def _children(groups: list[tuple[int, int, list[int]]], u: int, step: int, q: int):
+    """The children (groups, u + step*s, step*q), s in [0, q), of the node
+    (groups, u, step) that no class contains whole (see _least_gap), for a
+    prime q, built one at a time.
 
-    A group (b, b', residues) with gcd(b', m) = 1 goes into every child
-    with the same residues list.  Any other, with g = gcd(b', m) and
-    h = b/b', is bucketed once by a mod h*g: the bucket of key r meets the
-    children s ≡ (r - u)/h * (step/h)^-1 (mod g) and goes into each as the
-    group (b, b'/g, bucket), or, if g = b', contains them whole.  Children
-    are collected _SLICES at a time.
+    A group (b, b', residues) with q not dividing b' goes into every child
+    with the same residues list.  Any other, with h = b/b', is bucketed
+    once by a mod h*q: the bucket of key r meets the one child
+    s = (r - u)/h * (step/h)^-1 mod q and goes into it as the group
+    (b, b'/q, bucket), or, if b' = q, contains it whole.
     """
-    same, index, whole = [], [], []
+    same, meets, whole = [], {}, set()
     for b, bp, rs in groups:
-        if (g := math.gcd(bp, m)) == 1:
+        if bp % q:
             same.append((b, bp, rs))
             continue
         h, buckets = b // bp, {}
         for a in rs:
-            buckets.setdefault(a % (h * g), []).append(a)
-        inv = pow(step // h, -1, g)
+            buckets.setdefault(a % (h * q), []).append(a)
+        inv = pow(step // h, -1, q)
         for r, bucket in buckets.items():
-            (index if g < bp else whole).append((g, (r - u) // h * inv % g, (b, bp // g, bucket)))
-    for lo in range(0, m, _SLICES):
-        subs = [same.copy() for _ in range(min(_SLICES, m - lo))]
-        for g, s, group in index:
-            for i in range((s - lo) % g, len(subs), g):
-                subs[i].append(group)
-        for g, s, _ in whole:
-            for i in range((s - lo) % g, len(subs), g):
-                subs[i] = None
-        for s, sub in enumerate(subs, lo):
-            if sub is not None:
-                yield sub, u + step * s, step * m
+            s = (r - u) // h * inv % q
+            if bp == q:
+                whole.add(s)
+            else:
+                meets.setdefault(s, []).append((b, bp // q, bucket))
+    for s in range(q):
+        if s not in whole:
+            yield same + meets.get(s, []), u + step * s, step * q
 
 
 def verify_partitioned(system: CoveringSystem, w: int | str = "auto") -> Verdict:

@@ -646,6 +646,21 @@ def test_build_and_combine_commands(capsys, tmp_path):
     assert main(["build", "--kind", "sierpinski", "--assignments", str(d4)]) == 2
 
 
+def test_build_and_combine_refuse_a_target_header(capsys, tmp_path, datadir):
+    # the builders cover all integers, so a target header would be ignored
+    table1 = str(datadir / "table1.cov")
+    expected = f"error: {table1}: builders take no target header, got target 2 8\n"
+    fermat = tmp_path / "fermat.cov"
+    fermat.write_text("".join(f"{a} {b} p={p}\n" for a, b, p in sd.CLASSICAL_S_ASSIGNMENT))
+    for argv in (["build", "--kind", "sierpinski", "--assignments", table1],
+                 ["combine", "--part", f"sierpinski:{table1}"],
+                 ["combine", "--part", f"sierpinski:{fermat}", "--part", f"riesel:{table1}"]):
+        for diagnostic in ([], ["--diagnostic"]):
+            assert main(argv + diagnostic) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", expected)
+
+
 def test_shift_command(capsys):
     code, out = run(capsys, "shift", "--A", 130, "--B", 1, "--base", 10, "--format", "kv")
     assert code == 0

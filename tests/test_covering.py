@@ -346,9 +346,10 @@ def test_tree_prunes_children_a_class_contains(monkeypatch):
 
 def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
     # with one chunk of 8 residues the root, period 14, splits on 7; the
-    # classes mod 7 contain every child of that split but s = 1
+    # classes mod 7 contain every child of that split but s = 1.  The same
+    # holds for a split on 4099, a prime above the 4096 children that
+    # splits once collected at a time
     monkeypatch.setattr(covering, "_CHUNK", 8)
-    s = system([(a, 7) for a in (0, 2, 3, 4, 5, 6)] + [(1, 14), (8, 14)])
     built = {}
     children = covering._children
     def spy(classes, u, step, m):
@@ -356,8 +357,13 @@ def test_prime_split_builds_no_child_a_modulus_p_class_contains(monkeypatch):
             built.setdefault(m, []).append(node[1])
             yield node
     monkeypatch.setattr(covering, "_children", spy)
-    assert verify_partitioned(s) == Verdict(True)
-    assert built == {7: [1]}
+    for classes, expected in [
+        ([(a, 7) for a in (0, 2, 3, 4, 5, 6)] + [(1, 14), (8, 14)], {7: [1]}),
+        ([(a, 4099) for a in range(1, 4099)] + [(0, 8198), (4099, 8198)], {4099: [0]}),
+    ]:
+        built.clear()
+        assert verify_partitioned(system(classes)) == Verdict(True)
+        assert built == expected
 
 
 def test_uncovered_system_builds_no_child_past_the_least_gap(monkeypatch):
@@ -403,8 +409,9 @@ def test_deep_tree_needs_no_recursion():
     assert verify_partitioned(deep) == Verdict(False, 1 << 16)
 
 
-def test_partitioned_in_several_slice_windows(monkeypatch):
-    monkeypatch.setattr(covering, "_SLICES", 7)
+def test_partitioned_in_several_slice_windows():
+    # splits no longer collect their children in windows: each is built
+    # alone, so this runs at the default sizes
     assert verify_partitioned(appendix_data().cov_sier.system) == Verdict(True)
     x = 1_600_001
     assert verify_partitioned(_one_gap_system(x)) == Verdict(False, x)

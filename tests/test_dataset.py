@@ -118,6 +118,30 @@ def test_verify_table1():
     assert rep.facts["largest_prime_digits"] == 26
 
 
+def test_verify_table1_reports_each_violation():
+    data = appendix_data()
+    rows = data.table1
+    assert rows[0] == (ResidueClass(2, 16), 257) and rows[-1][0] == ResidueClass(426, 432)
+    cases = [
+        # a row that meets the slice, 2 (mod 24), but is not inside it
+        (rows + ((ResidueClass(2, 12), 13),), ["row 2 (mod 12) is not a subset of 2 (mod 8)"]),
+        # 673 has order 48, not 16
+        (((ResidueClass(2, 16), 673),) + rows[1:], ["ord_673(2) != 16"]),
+        # without its last row the table leaves 426 uncovered
+        (rows[:-1], ["rows do not cover 2 (mod 8); witness 426"]),
+        # a row disjoint from the slice is reported, and covers none of it
+        (((ResidueClass(3, 16), 257),) + rows[1:],
+         ["row 3 (mod 16) is not a subset of 2 (mod 8)",
+          "rows do not cover 2 (mod 8); witness 2"]),
+        (((ResidueClass(3, 16), 257),),
+         ["row 3 (mod 16) is not a subset of 2 (mod 8)",
+          "rows do not cover 2 (mod 8); witness 2"]),
+        ((), ["rows do not cover 2 (mod 8); witness 2"]),
+    ]
+    for table1, violations in cases:
+        assert verify_table1(dataclasses.replace(data, table1=table1)).violations == violations
+
+
 def test_table1_rows_all_inside_slice():
     data = appendix_data()
     for cls, p in data.table1:
